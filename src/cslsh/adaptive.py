@@ -25,9 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import CsState
-from .core import CostCounters, Dataset, FormatError, Metric, RngSeed
+from .core import CostCounters, Dataset, FormatError, Metric, RngSeed, order_minimum
 from .families import LshFamily
-from .forest import Forest, build_forest, forest_from_bytes, forest_to_bytes
+from .forest import (
+    Forest,
+    PayloadReader,
+    PrefixCursor,
+    build_forest,
+    forest_from_bytes,
+    forest_to_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -95,89 +102,6 @@ class AdaptiveResult:
     rounds_spread: int  # max lock-step imbalance observed (fairness check)
 
 
-class _TreeCursor:
-    """Per-(query, tree) lazy state: q's hash bits and the walk down q's path.
-
-    Hash bits are evaluated one level at a time (each charged once) and the
-    node path is extended on demand, so a scan to level i costs exactly i new
-    hash evaluations and at most i + 1 node visits, however often the tree is
-    revisited at other levels.
-    """
-
-    __slots__ = ("tree", "q", "counters", "bits", "nbits", "path", "plen", "leaf")
-
-    def __init__(self, tree, q, counters: CostCounters):
-        self.tree = tree
-        self.q = q
-        self.counters = counters
-        self.bits = []
-        self.nbits = 0
-        self.path = [0]
-        self.plen = 1
-        self.leaf = False
-        counters.nodes_visited += 1
-
-    def _bit(self, d: int) -> int:
-        while self.nbits <= d:
-            self.bits.append(self.tree.members[self.nbits].evaluate(self.q))
-            self.nbits += 1
-            self.counters.hash_evaluations += 1
-        return self.bits[d]
-
-    def _extend(self, i: int) -> None:
-        tree = self.tree
-        while self.plen <= i and not self.leaf:
-            node = self.path[-1]
-            c0 = tree.child0[node]
-            c1 = tree.child1[node]
-            if c0 == -1 and c1 == -1:
-                self.leaf = True
-                break
-            nxt = c1 if self._bit(self.plen - 1) else c0
-            if nxt == -1:
-                self.path.append(-1)
-                self.plen += 1
-                self.leaf = True
-                break
-            self.path.append(nxt)
-            self.plen += 1
-            self.counters.nodes_visited += 1
-
-    def _node_at(self, i: int) -> int:
-        """Node covering q's level-i bucket, or -1 when the bucket is empty.
-        A walk that stopped at a single-point leaf above level i checks the
-        stored string's remaining bits against q's."""
-        self._extend(i)
-        if self.plen > i:
-            return self.path[i]
-        node = self.path[-1]
-        if node == -1:
-            return -1
-        tree = self.tree
-        if tree.end[node] - tree.start[node] == 1:
-            s = int(tree.sorted_strings[tree.start[node]])
-            for d in range(self.plen - 1, i):
-                if ((s >> (tree.K - 1 - d)) & 1) != self._bit(d):
-                    return -1
-        return node
-
-    def count(self, i: int) -> int:
-        if i == 0:
-            return self.tree.n
-        node = self._node_at(i)
-        if node == -1:
-            return 0
-        return int(self.tree.end[node] - self.tree.start[node])
-
-    def bucket(self, i: int) -> np.ndarray:
-        if i == 0:
-            return self.tree.order
-        node = self._node_at(i)
-        if node == -1:
-            return self.tree.order[:0]
-        return self.tree.order[self.tree.start[node] : self.tree.end[node]]
-
-
 class _QueryState:
     """Everything owned by one adaptive query."""
 
@@ -202,10 +126,10 @@ class _QueryState:
             self._words = None
         self._idshift = ds.id_bits
 
-    def cursor(self, f: int, tau: int) -> _TreeCursor:
+    def cursor(self, f: int, tau: int) -> PrefixCursor:
         cur = self.cursors[f][tau]
         if cur is None:
-            cur = _TreeCursor(self.ensemble.forests[f].trees[tau], self.q, self.counters)
+            cur = PrefixCursor(self.ensemble.forests[f].trees[tau], self.q, self.counters)
             self.cursors[f][tau] = cur
         return cur
 
@@ -248,12 +172,7 @@ class _QueryState:
                 best = int(keys.min())
             self._track(best)
             return best, m, truncated
-        d = self.dataset.distances_to(self.q, ids)
-        if d.dtype.kind == "i":
-            pos = int(np.argmin(d * self.dataset.n + ids))
-        else:
-            pos = int(np.lexsort((ids, d))[0])
-        key = (d[pos].item(), int(ids[pos]))
+        key = order_minimum(self.dataset, self.q, ids)
         self._track(key)
         return key, m, truncated
 
@@ -347,6 +266,7 @@ class _CappedRun:
             self.done = True
             return
         if self.level == 0:
+            # The whole tree, without starting (and charging) a walk.
             ids = state.ensemble.forests[self.f].trees[tau].order
         else:
             ids = state.cursor(self.f, tau).bucket(self.level)
@@ -476,25 +396,18 @@ def adaptive_nearest_neighbor(ensemble: ForestEnsemble, q,
 # Ensemble serialization: a counted sequence of forest payloads.
 
 _ENS_MAGIC = b"CSLSHENS"
-_ENS_VERSION = 1
+_ENS_VERSION = 2  # v2 holds v2 forest payloads
+_ENS_HEADER = "<IIIdIddQI"  # R, l_prime, K, config, L, cap
 
 
 def ensemble_to_bytes(ensemble: ForestEnsemble) -> bytes:
+    cfg = ensemble.config
     parts = [
         _ENS_MAGIC,
-        struct.pack(
-            "<IIIIdIddQ",
-            _ENS_VERSION,
-            ensemble.R,
-            ensemble.l_prime,
-            ensemble.K,
-            ensemble.config.c_forests,
-            ensemble.config.t,
-            ensemble.config.terminate_quorum,
-            ensemble.config.advance_quorum,
-            ensemble.L,
-        ),
-        struct.pack("<I", ensemble.config.collision_cap),
+        struct.pack("<I", _ENS_VERSION),
+        struct.pack(_ENS_HEADER, ensemble.R, ensemble.l_prime, ensemble.K, cfg.c_forests,
+                    cfg.t, cfg.terminate_quorum, cfg.advance_quorum, ensemble.L,
+                    cfg.collision_cap),
     ]
     for forest in ensemble.forests:
         blob = forest_to_bytes(forest)
@@ -504,35 +417,27 @@ def ensemble_to_bytes(ensemble: ForestEnsemble) -> bytes:
 
 
 def ensemble_from_bytes(data: bytes, dataset: Dataset) -> ForestEnsemble:
-    if data[:8] != _ENS_MAGIC:
-        raise FormatError("not a serialized ensemble (bad magic)")
-    head = struct.Struct("<IIIIdIddQ")
-    version, R, l_prime, K, c_forests, t, tq, aq, L = head.unpack_from(data, 8)
-    off = 8 + head.size
-    (collision_cap,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if version != _ENS_VERSION:
-        raise FormatError(f"unsupported ensemble format version {version}")
+    reader = PayloadReader(data, "ensemble")
+    reader.magic_and_version(_ENS_MAGIC, _ENS_VERSION)
+    R, l_prime, K, c_forests, t, tq, aq, L, collision_cap = reader.unpack(_ENS_HEADER)
+    if R < 1:
+        raise FormatError("ensemble holds no forests")
     config = AdaptiveConfig(c_forests, t, collision_cap, tq, aq)
     forests = []
-    seed = None
     for _ in range(R):
-        (blen,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        forest = forest_from_bytes(data[off : off + blen], dataset)
-        off += blen
+        (blen,) = reader.unpack("<Q")
+        forest = forest_from_bytes(reader.take(blen), dataset)
+        if forest.K != K or forest.L != l_prime:
+            raise FormatError("forest shape does not match the ensemble header")
         forests.append(forest)
-        seed = seed or forest.seed
-    if off != len(data):
-        raise FormatError("trailing bytes after ensemble payload")
+    reader.finish()
+    seed = forests[0].seed
     base_seed = RngSeed(seed.master, seed.path[:-1]) if seed.path else seed
     ens = ForestEnsemble(
         dataset, forests[0].family, K, L, base_seed, config,
         l_prime=l_prime, forests=forests,
     )
-    if ens.R != R:
-        ens.R = R  # honor the serialized forest count
-        ens.forests = forests
+    ens.R = R  # honor the serialized forest count
     return ens
 
 

@@ -319,17 +319,15 @@ def cmd_build(args) -> int:
     if args.structure == "forest":
         forest = build_forest(dataset, family, config["k"], config["l"], seed.child("forest"))
         save_forest(forest, args.out)
-        nodes = sum(t.node_count() for t in forest.trees)
         depth = max(int(t.stored_depth(i)) for t in forest.trees for i in range(0, min(dataset.n, 8)))
-        print(f"forest: L={forest.L} K={forest.K} nodes={nodes} sample_max_depth={depth}")
+        print(f"forest: L={forest.L} K={forest.K} sample_max_depth={depth}")
     else:
         ens = ForestEnsemble(
             dataset, family, config["k"], config["l"], seed.child("ensemble"),
             _adaptive_config(config), l_prime=config["l_prime"],
         )
         save_ensemble(ens, args.out)
-        nodes = sum(t.node_count() for f in ens.forests for t in f.trees)
-        print(f"ensemble: R={ens.R} L'={ens.l_prime} K={ens.K} nodes={nodes}")
+        print(f"ensemble: R={ens.R} L'={ens.l_prime} K={ens.K}")
     import os
 
     print(f"bytes={os.path.getsize(args.out)}")

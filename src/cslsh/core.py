@@ -188,9 +188,21 @@ class QueryOrder:
 
     def minimum(self) -> int:
         """The unique order-minimum across all points (linear scan)."""
-        d = self.dataset.distances_to(self.q)
-        m = d.min()
-        return int(np.flatnonzero(d == m).min())
+        return order_minimum(self.dataset, self.q)[1]
+
+
+def order_minimum(dataset: Dataset, q: np.ndarray, ids=None) -> tuple:
+    """The (distance, id) order-minimum of q over the given nonempty ids, or
+    over all points when ids is None, from one distance-kernel call."""
+    d = dataset.distances_to(q, ids)
+    if ids is None:
+        pos = int(np.flatnonzero(d == d.min()).min())
+        return d[pos].item(), pos
+    if d.dtype.kind == "i":
+        pos = int(np.argmin(d * dataset.n + ids))
+    else:
+        pos = int(np.lexsort((ids, d))[0])
+    return d[pos].item(), int(ids[pos])
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FormatError, Metric, RngSeed, _pack_bits
+from .core import Dataset, FormatError, Metric, RngSeed, _pack_bits, order_minimum
 
 
 def load_fvecs(path: str) -> np.ndarray:
@@ -169,11 +169,8 @@ def _flip_bits(words: np.ndarray, dim: int, flips: int, rng) -> np.ndarray:
 
 
 def _brute_truth(dataset: Dataset, queries: Dataset) -> np.ndarray:
-    out = np.empty(queries.n, dtype=np.int64)
-    for k in range(queries.n):
-        d = dataset.distances_to(queries.point(k))
-        out[k] = int(np.flatnonzero(d == d.min()).min())
-    return out
+    return np.array([order_minimum(dataset, queries.point(k))[1] for k in range(queries.n)],
+                    dtype=np.int64)
 
 
 def generate(spec: InstanceSpec) -> Instance:

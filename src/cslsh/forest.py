@@ -1,21 +1,23 @@
-"""The LSH Forest data structure: prefix tries over concatenated hash strings.
+"""The LSH Forest data structure: implicit prefix tries over sorted hash strings.
 
-Each of the L trees hashes every point to a K-bit string and stores the set
-of strings in a plain (uncompressed) binary trie. A point's pointer lives at
-the node for the shortest prefix of its string that is unique in the tree, or
-at the depth-K node when no unique prefix exists, so exact duplicates are
-first-class. Every node keeps its subtree point count, which makes the
-collision count |S_{i,j}(q)| an O(i) walk and bucket retrieval O(i + bucket).
+Each of the L trees hashes every point to a K-bit string and keeps the
+strings sorted, with the point order beside them. A node of the plain binary
+trie over those strings is never stored: the points whose strings share a
+length-i prefix are one contiguous range [start, end) of the sorted order, so
+a bucket is a slice of the order and its collision count a subtraction.
 
-Internally a tree is a sorted array of packed strings plus flat node arrays
-(start/end into the sorted order and two child pointers); a node's points are
-exactly the contiguous slice [start, end) of the sorted order, so subtree
-counts are free and bucket enumeration is a slice.
+``PrefixCursor`` walks q's path one level at a time, narrowing the parent's
+range by one binary search. It stops where the trie would have a leaf -- a
+range holding a single point, or depth K -- so a point's pointer lives at the
+shortest prefix of its string that is unique in the tree (depth K when none
+is), exact duplicates are first-class, and a bucket below a single-point leaf
+is found by checking that point's remaining bits against q's.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 
 import numpy as np
 
@@ -28,80 +30,122 @@ from .families import (
     pack_strings,
 )
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
+def prefix_range(strings, prefix: int, width: int, K: int,
+                 lo: int = 0, hi: int | None = None) -> tuple[int, int]:
+    """The range [start, end) of the sorted K-bit ``strings`` (a memoryview
+    or list of ints) whose top ``width`` bits equal ``prefix``, searched
+    inside the nonempty range [lo, hi).
 
-def _build_nodes(sorted_strings: np.ndarray, K: int):
-    """Flat node arrays for the trie over pre-sorted packed strings.
-
-    Children are materialized level by level with vectorized run splitting;
-    a run of equal level-d prefixes becomes a node when its parent run held
-    at least two points (the root always exists).
+    A bound that the range's first or last string already settles costs one
+    comparison instead of a binary search, so narrowing a parent range to a
+    child, which keeps one of its ends, costs one search.
     """
-    n = sorted_strings.shape[0]
-    S = sorted_strings
-    starts = [np.array([0], dtype=np.int32)]
-    ends = [np.array([n], dtype=np.int32)]
-    child0 = []
-    child1 = []
-    lvl_s = starts[0].astype(np.int64)
-    lvl_e = ends[0].astype(np.int64)
-    base = 1
-    for d in range(K):
-        c0 = np.full(lvl_s.size, -1, dtype=np.int32)
-        c1 = np.full(lvl_s.size, -1, dtype=np.int32)
-        active = (lvl_e - lvl_s) >= 2
-        if not active.any():
-            child0.append(c0)
-            child1.append(c1)
-            lvl_s = np.empty(0, dtype=np.int64)
-            lvl_e = np.empty(0, dtype=np.int64)
-            break
-        a_pos = np.flatnonzero(active)
-        a_s = lvl_s[a_pos]
-        a_e = lvl_e[a_pos]
-        bit = ((S >> np.uint64(K - 1 - d)) & np.uint64(1)).astype(np.int64)
-        zeros = np.concatenate(([0], np.cumsum(1 - bit)))
-        mid = a_s + (zeros[a_e] - zeros[a_s])
-        has_l = mid > a_s
-        has_r = mid < a_e
-        counts = has_l.astype(np.int64) + has_r.astype(np.int64)
-        off = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        c0[a_pos] = np.where(has_l, base + off, -1).astype(np.int32)
-        c1[a_pos] = np.where(has_r, base + off + has_l, -1).astype(np.int32)
-        child0.append(c0)
-        child1.append(c1)
-        total = int(counts.sum())
-        ns = np.empty(total, dtype=np.int64)
-        ne = np.empty(total, dtype=np.int64)
-        lpos = off[has_l]
-        ns[lpos] = a_s[has_l]
-        ne[lpos] = mid[has_l]
-        rpos = (off + has_l)[has_r]
-        ns[rpos] = mid[has_r]
-        ne[rpos] = a_e[has_r]
-        starts.append(ns.astype(np.int32))
-        ends.append(ne.astype(np.int32))
-        lvl_s = ns
-        lvl_e = ne
-        base += total
-    # Remaining levels (or the depth-K level) are all leaves.
-    for _ in range(len(starts) - len(child0)):
-        child0.append(np.full(starts[len(child0)].size, -1, dtype=np.int32))
-        child1.append(np.full(starts[len(child1)].size, -1, dtype=np.int32))
-    return (
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(child0),
-        np.concatenate(child1),
-    )
+    if hi is None:
+        hi = len(strings)
+    shift = K - width
+    first = prefix << shift
+    last = first + (1 << shift)
+    start = lo if strings[lo] >= first else bisect_left(strings, first, lo, hi)
+    end = hi if strings[hi - 1] < last else bisect_left(strings, last, start, hi)
+    return start, end
+
+
+def sort_strings(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(point order, sorted strings); equal strings keep ascending point ids."""
+    order = np.argsort(strings, kind="stable").astype(np.int64, copy=False)
+    return order, strings[order]
+
+
+class PrefixCursor:
+    """Lazy walk down one tree along q's hash prefix.
+
+    ``ranges[d]`` is q's length-d prefix range. Hash bits are evaluated one
+    level at a time (each charged once) and the path is extended on demand,
+    so a walk to level i costs at most i hash evaluations and i + 1 node
+    visits (the root plus one per non-empty step), however often the tree is
+    revisited at other levels. The walk stops at a range of one point, where
+    ``range`` checks that point's remaining bits instead, or at an empty range.
+    """
+
+    __slots__ = ("tree", "q", "counters", "strings", "bits", "ranges", "stopped")
+
+    def __init__(self, tree: "ForestTrie", q, counters: CostCounters):
+        self.tree = tree
+        self.q = q
+        self.counters = counters
+        self.strings = memoryview(tree.sorted_strings)
+        self.bits: list[int] = []
+        self.ranges = [(0, tree.n)]
+        self.stopped = False
+        counters.nodes_visited += 1
+
+    def _bit(self, d: int) -> int:
+        bits = self.bits
+        while len(bits) <= d:
+            bits.append(self.tree.members[len(bits)].evaluate(self.q))
+            self.counters.hash_evaluations += 1
+        return bits[d]
+
+    def _extend(self, i: int) -> None:
+        if self.stopped:
+            return
+        ranges = self.ranges
+        d = len(ranges) - 1
+        strings = self.strings
+        K = self.tree.K
+        bits = self.bits
+        counters = self.counters
+        lo, hi = ranges[d]
+        prefix = strings[lo] >> (K - d)
+        while d < i:
+            if hi - lo == 1:
+                self.stopped = True
+                return
+            # _bit inlined for the hot loop: bits come in level order, so
+            # step d needs at most the one new bit d.
+            if d == len(bits):
+                bits.append(self.tree.members[d].evaluate(self.q))
+                counters.hash_evaluations += 1
+            prefix = prefix << 1 | bits[d]
+            d += 1
+            lo, hi = prefix_range(strings, prefix, d, K, lo, hi)
+            ranges.append((lo, hi))
+            if lo == hi:
+                self.stopped = True
+                return
+            counters.nodes_visited += 1
+
+    def range(self, i: int) -> tuple[int, int]:
+        """q's level-i range [start, end) in the tree's sorted order."""
+        ranges = self.ranges
+        if i >= len(ranges):
+            self._extend(i)
+        if i < len(ranges):
+            return ranges[i]
+        lo, hi = ranges[-1]
+        if hi - lo == 1:
+            s = self.strings[lo]
+            K = self.tree.K
+            for d in range(len(ranges) - 1, i):
+                if ((s >> (K - 1 - d)) & 1) != self._bit(d):
+                    return lo, lo
+        return lo, hi
+
+    def count(self, i: int) -> int:
+        lo, hi = self.range(i)
+        return hi - lo
+
+    def bucket(self, i: int) -> np.ndarray:
+        lo, hi = self.range(i)
+        return self.tree.order[lo:hi]
 
 
 class LevelCursor:
     """Enumeration handle over one prefix bucket S_{i,j}(q).
 
-    ``ids`` lists each member exactly once, in trie order (depth-first among
-    leaves, by point id inside a leaf). ``node_visits`` counts the trie nodes
+    ``ids`` lists each member exactly once, in trie order (by hash string,
+    by point id among equal strings). ``node_visits`` counts the trie nodes
     touched to locate the bucket.
     """
 
@@ -121,133 +165,57 @@ class LevelCursor:
 
 
 class ForestTrie:
-    """One tree of the forest: K member hashes, the sorted string array, and
-    the flat trie node arrays."""
+    """One tree of the forest: K member hashes, the sorted string array and
+    the point order beside it."""
 
-    __slots__ = (
-        "index",
-        "K",
-        "n",
-        "members",
-        "order",
-        "sorted_strings",
-        "start",
-        "end",
-        "child0",
-        "child1",
-    )
+    __slots__ = ("index", "K", "n", "members", "order", "sorted_strings")
 
-    def __init__(self, index: int, K: int, members: list[HashSpec], strings: np.ndarray):
+    def __init__(self, index: int, K: int, members: list[HashSpec],
+                 order: np.ndarray, sorted_strings: np.ndarray):
         self.index = index
         self.K = K
-        self.n = strings.shape[0]
+        self.n = sorted_strings.shape[0]
         self.members = members
-        order = np.argsort(strings, kind="stable")
-        self.order = order.astype(np.int64)
-        self.sorted_strings = strings[order]
-        self.start, self.end, self.child0, self.child1 = _build_nodes(
-            self.sorted_strings, K
-        )
+        self.order = order
+        self.sorted_strings = sorted_strings
 
-    def node_count(self) -> int:
-        return self.start.shape[0]
-
-    def query_bits(self, q, i: int) -> list[int]:
-        """Hash values of q for levels 1..i (i member evaluations)."""
-        return [self.members[d].evaluate(q) for d in range(i)]
-
-    def _descend(self, bits, i: int):
-        """Walk q's path to depth i. Returns (kind, node, depth, visits) with
-        kind 'range' (internal/at-depth), 'leaf' (stopped early) or 'empty'."""
-        node = 0
-        d = 0
-        visits = 1
-        child0 = self.child0
-        child1 = self.child1
-        while d < i:
-            c0 = child0[node]
-            c1 = child1[node]
-            if c0 == -1 and c1 == -1:
-                return "leaf", node, d, visits
-            nxt = c1 if bits[d] else c0
-            if nxt == -1:
-                return "empty", node, d, visits
-            node = nxt
-            d += 1
-            visits += 1
-        return "range", node, d, visits
-
-    def _bucket_from_walk(self, kind, node, depth, bits, i):
-        if kind == "empty":
-            return _EMPTY_IDS
-        s = self.start[node]
-        e = self.end[node]
-        if kind == "range":
-            return self.order[s:e]
-        # Stopped at a leaf above level i: a single point whose stored string
-        # must still match q's length-i prefix (depth-K leaves hit 'range').
-        qpref = 0
-        for d in range(i):
-            qpref = (qpref << 1) | bits[d]
-        spref = int(self.sorted_strings[s]) >> (self.K - i)
-        if spref == qpref:
-            return self.order[s:e]
-        return _EMPTY_IDS
+    def _walk(self, q, i: int, counters: CostCounters | None) -> tuple[int, int, int]:
+        """(start, end, node visits) of q's level-i range by a fresh walk,
+        charged as a static scan: all i hash bits and the nodes on the path."""
+        if not 0 <= i <= self.K:
+            raise ValueError(f"level out of range [0, {self.K}]")
+        walk = CostCounters()
+        lo, hi = PrefixCursor(self, q, walk).range(i)
+        if counters is not None:
+            counters.hash_evaluations += i
+            counters.nodes_visited += walk.nodes_visited
+        return lo, hi, walk.nodes_visited
 
     def bucket(self, q, i: int, counters: CostCounters | None = None) -> LevelCursor:
         """All points whose length-i hash prefix matches q's (level 0 = all)."""
-        if not 0 <= i <= self.K:
-            raise ValueError(f"level out of range [0, {self.K}]")
-        if i == 0:
-            if counters is not None:
-                counters.nodes_visited += 1
-                counters.buckets_opened += 1
-            return LevelCursor(self.order, 1, self.index, 0)
-        bits = self.query_bits(q, i)
-        kind, node, depth, visits = self._descend(bits, i)
-        ids = self._bucket_from_walk(kind, node, depth, bits, i)
+        lo, hi, visits = self._walk(q, i, counters)
         if counters is not None:
-            counters.hash_evaluations += i
-            counters.nodes_visited += visits
             counters.buckets_opened += 1
-        return LevelCursor(ids, visits, self.index, i)
+        return LevelCursor(self.order[lo:hi], visits, self.index, i)
 
     def collision_count(self, q, i: int, counters: CostCounters | None = None) -> int:
-        """|S_{i,j}(q)| from subtree counts, without enumerating the bucket."""
-        if not 0 <= i <= self.K:
-            raise ValueError(f"level out of range [0, {self.K}]")
+        """|S_{i,j}(q)|, the size of q's level-i range, without enumerating it."""
         if i == 0:
             return self.n
-        bits = self.query_bits(q, i)
-        kind, node, depth, visits = self._descend(bits, i)
-        if counters is not None:
-            counters.hash_evaluations += i
-            counters.nodes_visited += visits
-        if kind == "empty":
-            return 0
-        if kind == "range":
-            return int(self.end[node] - self.start[node])
-        qpref = 0
-        for d in range(i):
-            qpref = (qpref << 1) | bits[d]
-        spref = int(self.sorted_strings[self.start[node]]) >> (self.K - i)
-        return int(self.end[node] - self.start[node]) if spref == qpref else 0
+        lo, hi, _ = self._walk(q, i, counters)
+        return hi - lo
 
     def stored_depth(self, point_id: int) -> int:
-        """Depth of the leaf holding a point (its shortest unique prefix, or
-        K when none exists)."""
+        """Depth of the leaf holding a point: one more than its longest common
+        prefix with a sorted neighbour (its shortest unique prefix), capped at
+        K; 0 when the tree holds a single point."""
         pos = int(np.flatnonzero(self.order == point_id)[0])
-        node = 0
-        d = 0
         s = int(self.sorted_strings[pos])
-        while True:
-            c0 = self.child0[node]
-            c1 = self.child1[node]
-            if c0 == -1 and c1 == -1:
-                return d
-            bit = (s >> (self.K - 1 - d)) & 1
-            node = c1 if bit else c0
-            d += 1
+        lcp = -1
+        for other in (pos - 1, pos + 1):
+            if 0 <= other < self.n:
+                lcp = max(lcp, self.K - (s ^ int(self.sorted_strings[other])).bit_length())
+        return min(self.K, lcp + 1)
 
 
 class Forest:
@@ -282,8 +250,8 @@ def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,
     trees = []
     for j in range(L):
         members = family.sample_members(seed.child("tree", j), K)
-        strings = pack_strings(members, dataset)
-        trees.append(ForestTrie(j, K, members, strings))
+        order, sorted_strings = sort_strings(pack_strings(members, dataset))
+        trees.append(ForestTrie(j, K, members, order, sorted_strings))
     return Forest(dataset, family, K, L, seed, trees)
 
 
@@ -300,13 +268,55 @@ def expected_collisions(dataset: Dataset, family: LshFamily, q, i: int) -> float
 
 # ---------------------------------------------------------------------------
 # Serialization: versioned binary layout, little-endian throughout.
+#
+# v2 layout: magic, header (version, n, dim, metric, family, K, L), the seed,
+# then per tree its member parameters, point order and sorted strings. v1
+# payloads, which also carried trie node arrays, are rejected.
 
 _MAGIC = b"CSLSHFOR"
-_VERSION = 1
+_VERSION = 2
+_HEADER = "<QIBBII"  # n, dim, metric, family, K, L
 _METRIC_CODE = {Metric.HAMMING: 0, Metric.EUCLIDEAN: 1, Metric.ANGULAR: 2}
 _METRIC_FROM = {v: k for k, v in _METRIC_CODE.items()}
 _FAMILY_CODE = {"bit-sampling": 0, "sign-random-projection": 1}
-_FAMILY_FROM = {v: k for k, v in _FAMILY_CODE.items()}
+_FAMILY_FROM = {_FAMILY_CODE[c.kind]: c for c in (BitSampling, SignRandomProjection)}
+
+
+class PayloadReader:
+    """Bounds-checked reads from a serialized payload: running past its end
+    or leaving bytes unread is a FormatError."""
+
+    def __init__(self, data, what: str):
+        self.buf = memoryview(data)
+        self.off = 0
+        self.what = what
+
+    def take(self, size: int) -> memoryview:
+        end = self.off + size
+        if end > len(self.buf):
+            raise FormatError(f"truncated {self.what} payload")
+        out = self.buf[self.off : end]
+        self.off = end
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        dt = np.dtype(dtype)
+        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).astype(dt.newbyteorder("="))
+
+    def magic_and_version(self, magic: bytes, version: int) -> None:
+        if bytes(self.buf[: len(magic)]) != magic:
+            raise FormatError(f"not a serialized {self.what} (bad magic)")
+        self.take(len(magic))
+        (got,) = self.unpack("<I")
+        if got != version:
+            raise FormatError(f"unsupported {self.what} format version {got}")
+
+    def finish(self) -> None:
+        if self.off != len(self.buf):
+            raise FormatError(f"trailing bytes after {self.what} payload")
 
 
 def _seed_bytes(seed: RngSeed) -> bytes:
@@ -317,25 +327,24 @@ def _seed_bytes(seed: RngSeed) -> bytes:
     return b"".join(out)
 
 
-def _read_seed(buf: memoryview, off: int):
-    master, plen = struct.unpack_from("<QI", buf, off)
-    off += 12
+def _read_seed(reader: PayloadReader) -> RngSeed:
+    master, plen = reader.unpack("<QI")
     path = []
     for _ in range(plen):
-        (tlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        tag = bytes(buf[off : off + tlen]).decode()
-        off += tlen
-        (idx,) = struct.unpack_from("<Q", buf, off)
-        off += 8
+        (tlen,) = reader.unpack("<H")
+        raw = bytes(reader.take(tlen))
+        try:
+            tag = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError("seed tag is not valid UTF-8") from exc
+        (idx,) = reader.unpack("<Q")
         path.append((tag, idx))
-    return RngSeed(master, tuple(path)), off
+    return RngSeed(master, tuple(path))
 
 
 def forest_to_bytes(forest: Forest) -> bytes:
-    header = _MAGIC + struct.pack(
-        "<IQIBBII",
-        _VERSION,
+    header = _MAGIC + struct.pack("<I", _VERSION) + struct.pack(
+        _HEADER,
         forest.dataset.n,
         forest.dataset.dim,
         _METRIC_CODE[forest.dataset.metric],
@@ -352,62 +361,46 @@ def forest_to_bytes(forest: Forest) -> bytes:
         parts.append(params.tobytes())
         parts.append(tree.order.astype("<i8").tobytes())
         parts.append(tree.sorted_strings.astype("<u8").tobytes())
-        parts.append(struct.pack("<Q", tree.node_count()))
-        for arr in (tree.start, tree.end, tree.child0, tree.child1):
-            parts.append(arr.astype("<i4").tobytes())
     return b"".join(parts)
 
 
+def _read_tree(reader: PayloadReader, family: LshFamily, j: int, K: int, n: int) -> ForestTrie:
+    """One tree's members, order and strings, checked for the invariants the
+    prefix-range walk relies on."""
+    dim = family.dim
+    if isinstance(family, BitSampling):
+        params = reader.array("<u4", K)
+        if (params >= dim).any():
+            raise FormatError("bit-sampling coordinate out of range")
+        members = [HashSpec(family, int(p)) for p in params]
+    else:
+        params = reader.array("<f8", K * dim).reshape(K, dim)
+        members = [HashSpec(family, row) for row in params]
+    order = reader.array("<i8", n)
+    strings = reader.array("<u8", n)
+    if ((order < 0) | (order >= n)).any() or np.bincount(order, minlength=n).max() != 1:
+        raise FormatError("tree order is not a permutation of the point ids")
+    if (strings[1:] < strings[:-1]).any() or int(strings[-1]) >> K:
+        raise FormatError(f"tree strings are not sorted {K}-bit values")
+    return ForestTrie(j, K, members, order, strings)
+
+
 def forest_from_bytes(data: bytes, dataset: Dataset) -> Forest:
-    buf = memoryview(data)
-    if bytes(buf[:8]) != _MAGIC:
-        raise FormatError("not a serialized forest (bad magic)")
-    version, n, dim, mcode, fcode, K, L = struct.unpack_from("<IQIBBII", buf, 8)
-    if version != _VERSION:
-        raise FormatError(f"unsupported forest format version {version}")
-    off = 8 + struct.calcsize("<IQIBBII")
+    reader = PayloadReader(data, "forest")
+    reader.magic_and_version(_MAGIC, _VERSION)
+    n, dim, mcode, fcode, K, L = reader.unpack(_HEADER)
+    if mcode not in _METRIC_FROM or fcode not in _FAMILY_FROM:
+        raise FormatError(f"unknown metric code {mcode} or family code {fcode}")
     if n != dataset.n or dim != dataset.dim or _METRIC_FROM[mcode] is not dataset.metric:
         raise FormatError("forest does not match the provided dataset")
-    family_kind = _FAMILY_FROM[fcode]
-    if family_kind == "bit-sampling":
-        family: LshFamily = BitSampling(dim)
-    else:
-        family = SignRandomProjection(dim)
-    seed, off = _read_seed(buf, off)
-    trees = []
-    for j in range(L):
-        if family_kind == "bit-sampling":
-            params = np.frombuffer(buf, dtype="<u4", count=K, offset=off)
-            off += 4 * K
-            members = [HashSpec(family, int(p)) for p in params]
-        else:
-            params = np.frombuffer(buf, dtype="<f8", count=K * dim, offset=off)
-            off += 8 * K * dim
-            members = [
-                HashSpec(family, params[k * dim : (k + 1) * dim].copy())
-                for k in range(K)
-            ]
-        order = np.frombuffer(buf, dtype="<i8", count=n, offset=off).copy()
-        off += 8 * n
-        strings = np.frombuffer(buf, dtype="<u8", count=n, offset=off).copy()
-        off += 8 * n
-        (ncount,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        arrs = []
-        for _ in range(4):
-            arrs.append(np.frombuffer(buf, dtype="<i4", count=ncount, offset=off).copy())
-            off += 4 * ncount
-        tree = ForestTrie.__new__(ForestTrie)
-        tree.index = j
-        tree.K = K
-        tree.n = n
-        tree.members = members
-        tree.order = order
-        tree.sorted_strings = strings
-        tree.start, tree.end, tree.child0, tree.child1 = arrs
-        trees.append(tree)
-    if off != len(data):
-        raise FormatError("trailing bytes after forest payload")
+    family: LshFamily = _FAMILY_FROM[fcode](dim)
+    if family.metric is not dataset.metric:
+        raise FormatError(f"{family.kind} family does not fit the {dataset.metric.value} metric")
+    if not (1 <= K <= 64 and L >= 1):
+        raise FormatError(f"bad forest shape K={K} L={L}")
+    seed = _read_seed(reader)
+    trees = [_read_tree(reader, family, j, K, n) for j in range(L)]
+    reader.finish()
     return Forest(dataset, family, K, L, seed, trees)
 
 

@@ -4,8 +4,10 @@ Everything here is deliberately naive or analytic: brute-force scans, the
 closed-form distance-profile quantities (C(i), T(i), i', i*, OPT), a direct
 Monte Carlo replay of the confirmation-sampling loop, exhaustive enumeration
 of the table-sampling distribution for bit sampling, and the naive prefix
-filter that re-derives forest buckets from scratch. None of it shares a code
-path with the structures it checks.
+filter that re-derives forest buckets from scratch. None of these checks
+shares a code path with the structures it checks. The natural algorithm is a
+baseline, not a check: it scans the forest's own buckets and takes their
+minimum with the same helper as the queries.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import DiscreteDistribution
-from .core import Dataset, Metric, RngSeed
+from .core import Dataset, Metric, RngSeed, order_minimum
 from .families import HashSpec, LshFamily
 from .forest import Forest
 
@@ -128,12 +130,7 @@ def natural_algorithm(forest: Forest, q, i: int, j: int):
         if len(ids) == 0:
             continue
         work += len(ids)
-        d = forest.dataset.distances_to(q, ids)
-        if d.dtype.kind == "i":
-            pos = int(np.argmin(d * forest.dataset.n + ids))
-        else:
-            pos = int(np.lexsort((ids, d))[0])
-        key = (d[pos].item(), int(ids[pos]))
+        key = order_minimum(forest.dataset, q, ids)
         if best is None or key < best:
             best = key
     return (best[1] if best is not None else -1), work

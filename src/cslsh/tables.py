@@ -1,8 +1,8 @@
 """A lazily built sequence of independent LSH hash tables and exact
 nearest-neighbor search over it by confirmation sampling.
 
-Table i hashes every point with a fresh K_cat-fold concatenation and maps
-each concatenated value to its bucket. One draw from the sampling
+Table i hashes every point with a fresh K_cat-fold concatenation and keeps
+the values sorted, so the bucket of a value is its full-width prefix range. One draw from the sampling
 distribution inspects q's bucket in the next table and returns the bucket's
 order-minimum, or a uniformly random point when the bucket is empty, so the
 nearest neighbor is always at least as likely to be drawn as any other point.
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import CsState
-from .core import Dataset, RngSeed
+from .core import Dataset, RngSeed, order_minimum
 from .families import LshFamily, pack_strings
+from .forest import prefix_range, sort_strings
 
 
 class SequenceExhausted(RuntimeError):
@@ -52,29 +53,21 @@ class QueryStats:
 
 
 class HashTable:
-    """One table: K_cat concatenated members and value -> bucket slices."""
+    """One table: K_cat concatenated members, the sorted values and the point
+    order beside them."""
 
-    __slots__ = ("index", "members", "values", "order", "buckets")
+    __slots__ = ("index", "members", "values", "order")
 
     def __init__(self, index: int, members, dataset: Dataset):
         self.index = index
         self.members = members
-        values = pack_strings(members, dataset)
-        order = np.argsort(values, kind="stable")
-        self.order = order.astype(np.int64)
-        self.values = values[order]
-        bounds = np.flatnonzero(np.diff(self.values)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [dataset.n]))
-        self.buckets = {
-            int(self.values[s]): (int(s), int(e)) for s, e in zip(starts, ends)
-        }
+        self.order, self.values = sort_strings(pack_strings(members, dataset))
 
     def bucket_ids(self, value: int) -> np.ndarray:
-        span = self.buckets.get(value)
-        if span is None:
-            return self.order[:0]
-        return self.order[span[0] : span[1]]
+        """Ids of the points whose concatenated value equals ``value``."""
+        k = len(self.members)
+        lo, hi = prefix_range(memoryview(self.values), value, k, k)
+        return self.order[lo:hi]
 
 
 @dataclass
@@ -152,12 +145,7 @@ class TableSequence:
         if max_candidates is not None and len(ids) > max_candidates:
             ids = ids[:max_candidates]
         stats.distance_computations += len(ids)
-        d = self.dataset.distances_to(q, ids)
-        if d.dtype.kind == "i":
-            best = int(np.argmin(d * self.dataset.n + ids))
-        else:
-            best = int(np.lexsort((ids, d))[0])
-        return (d[best].item(), int(ids[best]))
+        return order_minimum(self.dataset, q, ids)
 
     def query_nn(self, seq_q, delta: float, seed: RngSeed | None = None) -> NnResult:
         """Exact NN search: confirmation sampling with a fresh table per draw.

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from cslsh.forest import (
     expected_collisions,
     forest_from_bytes,
     forest_to_bytes,
+    prefix_range,
 )
 from cslsh.oracle import naive_prefix_filter, naive_shortest_unique_prefix
 
@@ -76,15 +79,21 @@ def test_collision_counts_monotone_and_level0_full():
 
 
 def test_subtree_counts_partition_children():
+    # the prefix ranges of p.0 and p.1 split the range of p at one point
     rng = SEED.child("part").generator()
     ds = random_instance(rng, 50, 8)
-    forest = build_forest(ds, BitSampling(8), K=6, L=2, seed=SEED.child("part-f"))
+    K = 6
+    forest = build_forest(ds, BitSampling(8), K=K, L=2, seed=SEED.child("part-f"))
     for tree in forest.trees:
-        sizes = tree.end - tree.start
-        for node in range(tree.node_count()):
-            kids = [c for c in (tree.child0[node], tree.child1[node]) if c != -1]
-            if kids:
-                assert sizes[kids].sum() == sizes[node]
+        strings = memoryview(tree.sorted_strings)
+        for width in range(K):
+            for p in range(1 << width):
+                start, end = prefix_range(strings, p, width, K)
+                lo0, hi0 = prefix_range(strings, p << 1, width + 1, K)
+                lo1, hi1 = prefix_range(strings, p << 1 | 1, width + 1, K)
+                assert (lo0, hi0, hi1) == (start, lo1, end)
+                assert (hi0 - lo0) + (hi1 - lo1) == end - start
+        assert prefix_range(strings, 0, 0, K) == (0, 50)
 
 
 def test_cost_contract_node_visits():
@@ -193,3 +202,67 @@ def test_build_validation():
     forest = build_forest(ds, BitSampling(4), K=2, L=1, seed=SEED)
     with pytest.raises(ValueError):
         forest.bucket(1, 3, ds.point(0))
+
+
+def _payload_cases():
+    """(name, loader, dataset, malformed payload) for forests and ensembles."""
+    from cslsh.adaptive import build_ensemble, ensemble_from_bytes, ensemble_to_bytes
+
+    rng = SEED.child("malformed").generator()
+    n, dim, K, L = 30, 16, 8, 3
+    ds = random_instance(rng, n, dim)
+    blob = forest_to_bytes(build_forest(ds, BitSampling(dim), K=K, L=L, seed=SEED.child("m")))
+    tree0 = len(blob) - L * (4 * K + 16 * n)  # members, order, strings per tree
+    order0, strings0 = tree0 + 4 * K, tree0 + 4 * K + 8 * n
+
+    def patched(base, off, fmt, value):
+        out = bytearray(base)
+        struct.pack_into(fmt, out, off, value)
+        return bytes(out)
+
+    s = np.frombuffer(blob, dtype="<u8", count=n, offset=strings0)
+    k = int(np.flatnonzero(np.diff(s))[0])  # two adjacent distinct strings
+    swapped = bytearray(blob)
+    swapped[strings0 + 8 * k : strings0 + 8 * k + 16] = s[[k + 1, k]].tobytes()
+    first_order = int(np.frombuffer(blob, dtype="<i8", count=1, offset=order0)[0])
+    forest_cases = {
+        "forest-v1": patched(blob, 8, "<I", 1),
+        "forest-unknown-metric": patched(blob, 24, "<B", 7),
+        "forest-unknown-family": patched(blob, 25, "<B", 7),
+        "forest-family-metric-mismatch": patched(blob, 25, "<B", 1),
+        "forest-K-zero": patched(blob, 26, "<I", 0),
+        "forest-truncated-header": blob[:20],
+        "forest-truncated-seed": blob[:40],
+        "forest-truncated-tree": blob[:-1],
+        "forest-trailing-bytes": blob + b"\0",
+        "forest-coordinate-out-of-range": patched(blob, tree0, "<I", dim),
+        "forest-order-duplicate": patched(blob, order0 + 8, "<q", first_order),
+        "forest-order-out-of-range": patched(blob, order0, "<q", n),
+        "forest-unsorted-strings": bytes(swapped),
+        "forest-string-wider-than-K": patched(blob, strings0 + 8 * (n - 1), "<Q", 1 << K),
+    }
+    small = random_instance(rng, 12, 8)
+    eblob = ensemble_to_bytes(build_ensemble(small, BitSampling(8), 4, 1, SEED.child("e"),
+                                             l_prime=1))
+    forest1 = 12 + struct.calcsize("<IIIdIddQI") + 8  # first forest payload
+    ensemble_cases = {
+        "ensemble-v1-short-header": patched(eblob, 8, "<I", 1)[:12],
+        "ensemble-truncated-header": eblob[:30],
+        "ensemble-truncated-forest": eblob[:-5],
+        "ensemble-no-forests": patched(eblob, 12, "<I", 0),
+        "ensemble-unknown-family": patched(eblob, forest1 + 25, "<B", 9),
+        "ensemble-inner-forest-v1": patched(eblob, forest1 + 8, "<I", 1),
+        "ensemble-trailing-bytes": eblob + b"\0",
+    }
+    return ([(name, forest_from_bytes, ds, p) for name, p in forest_cases.items()]
+            + [(name, ensemble_from_bytes, small, p) for name, p in ensemble_cases.items()])
+
+
+_PAYLOAD_CASES = _payload_cases()
+
+
+@pytest.mark.parametrize("case", _PAYLOAD_CASES, ids=[c[0] for c in _PAYLOAD_CASES])
+def test_malformed_payloads_raise_format_error(case):
+    _, loader, dataset, payload = case
+    with pytest.raises(FormatError):
+        loader(payload, dataset)

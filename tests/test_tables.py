@@ -33,8 +33,9 @@ def test_bucket_partition_per_table():
     ds = Dataset.from_bits(rng.integers(0, 2, size=(30, 8), dtype=np.uint8))
     seq = make_seq(ds)
     tab = seq.table(3)
-    seen = np.concatenate([tab.order[s:e] for s, e in tab.buckets.values()])
+    seen = np.concatenate([tab.bucket_ids(int(v)) for v in np.unique(tab.values)])
     assert sorted(seen.tolist()) == list(range(30))
+    assert len(tab.bucket_ids(int(tab.values.max()) + 1)) == 0
 
 
 def test_same_seed_same_results():
