@@ -175,6 +175,11 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
     config = resolve_config(config_file, overrides)
     instance = instance_from_config(config)
     dataset = instance.dataset
+    if config["instance"].startswith("file:"):
+        # The header describes the instance that was loaded, not the
+        # generator settings, which a file instance does not use.
+        config.update(n=dataset.n, dim=dataset.dim, queries=instance.queries.n,
+                      instance_seed=None)
     algorithm = config["algorithm"]
     seed = RngSeed(config["seed"])
     family = None

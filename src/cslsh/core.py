@@ -80,6 +80,8 @@ class Dataset:
             self.n = self.reals.shape[0]
             if self.reals.shape[1] != dim:
                 raise ValueError("dimension mismatch")
+            if not np.isfinite(self.reals).all():
+                raise ValueError("real vectors must be finite (no NaN or inf)")
         if self.n < 1:
             raise ValueError("dataset must contain at least one point")
         self._norms = None
@@ -130,7 +132,10 @@ class Dataset:
             return q
         if q.shape != (self.dim,):
             raise ValueError("dimension mismatch")
-        return q.astype(np.float64, copy=False)
+        q = q.astype(np.float64, copy=False)
+        if not np.isfinite(q).all():
+            raise ValueError("query must be finite (no NaN or inf)")
+        return q
 
     def distances_to(self, q: np.ndarray, ids=None) -> np.ndarray:
         """Distances from q to the given ids (all points when ids is None)."""

@@ -9,8 +9,14 @@ single-bit hash values:
   direction and hashes a point to the sign of the inner product. Collision
   probability 1 - theta/pi.
 
-Concatenations of K members are packed into integers with level 1 in the most
-significant of K bits, so a level-i prefix is ``value >> (K - i)``.
+A tree or table stores its K members as one parameter array (row k for level
+k + 1): the (K,) coordinates for bit sampling, the (K, dim) directions for
+sign random projection. ``query_string`` hashes one point against all K rows
+in one call; ``pack_strings`` hashes every dataset point, one member column
+at a time. Both pack the K bits into an integer with level 1 in the most
+significant bit, so a level-i prefix is ``value >> (K - i)``. ``HashSpec``
+is the per-member view of one row, and ``HashSpec.evaluate`` the one-bit
+reference that the oracle and the tests compare against.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ class LshFamily:
     def sample_members(self, seed: RngSeed, count: int) -> list["HashSpec"]:
         """Members for levels 0..count-1, derived from per-level child seeds."""
         return [self.sample_member(seed.child("level", k)) for k in range(count)]
+
+    def query_string(self, params: np.ndarray, x) -> int:
+        """Hash one raw point with every row of ``params``: its K-bit string,
+        level 1 most significant."""
+        raise NotImplementedError
 
     def collision_probability(self, d) -> float:
         raise NotImplementedError
@@ -89,6 +100,17 @@ class BitSampling(LshFamily):
     def _evaluate_all(self, idx: int, dataset: Dataset) -> np.ndarray:
         return dataset.coordinate_bits(idx)
 
+    def query_string(self, coords: np.ndarray, x) -> int:
+        words = np.asarray(x, dtype=np.uint64)
+        if words.shape != ((self.dim + 63) // 64,):
+            raise ValueError("dimension mismatch")
+        # Coordinate c is bit c of the words read as one little-endian integer.
+        v = int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+        s = 0
+        for c in coords.tolist():
+            s = (s << 1) | ((v >> c) & 1)
+        return s
+
     def collision_probability(self, d) -> float:
         if d < 0 or d > self.dim:
             raise ValueError(f"Hamming distance out of range [0, {self.dim}]")
@@ -117,6 +139,15 @@ class SignRandomProjection(LshFamily):
 
     def _evaluate_all(self, direction: np.ndarray, dataset: Dataset) -> np.ndarray:
         return (dataset.reals @ direction >= 0.0).astype(np.uint64)
+
+    def query_string(self, directions: np.ndarray, x) -> int:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError("dimension mismatch")
+        bits = directions @ x >= 0.0
+        # packbits fills bytes from the most significant bit and pads the
+        # last byte with zeros on the right.
+        return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
 
     def collision_probability(self, theta) -> float:
         if theta < -1e-12 or theta > np.pi + 1e-12:
@@ -147,52 +178,9 @@ def family_for_metric(metric: Metric, dim: int) -> LshFamily:
     raise ValueError(f"no shipped family for the {metric.value} metric")
 
 
-class HashString:
-    """A length-K sequence of hash bits packed with level 1 most significant."""
-
-    __slots__ = ("value", "length")
-
-    def __init__(self, value: int, length: int):
-        self.value = int(value)
-        self.length = length
-
-    def value_at(self, level: int) -> int:
-        """The level-th hash value, 1-based."""
-        if not 1 <= level <= self.length:
-            raise IndexError("level out of range")
-        return (self.value >> (self.length - level)) & 1
-
-    def prefix(self, i: int) -> int:
-        if not 0 <= i <= self.length:
-            raise IndexError("prefix length out of range")
-        return self.value >> (self.length - i) if i else 0
-
-    def values(self) -> list[int]:
-        return [self.value_at(k) for k in range(1, self.length + 1)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HashString)
-            and self.length == other.length
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.length))
-
-    def __repr__(self):
-        return f"HashString({format(self.value, f'0{self.length}b')})"
-
-
-def concat_hash(members: list[HashSpec], x) -> HashString:
-    """Evaluate K members on a point and pack the bits into a HashString."""
-    if not members:
-        raise ValueError("need at least one member")
-    k = len(members)
-    value = 0
-    for lvl, m in enumerate(members):
-        value |= m.evaluate(x) << (k - 1 - lvl)
-    return HashString(value, k)
+def stack_params(members: list[HashSpec]) -> np.ndarray:
+    """The members' parameters as one array, row k for level k + 1."""
+    return np.array([m.param for m in members])
 
 
 def pack_strings(members: list[HashSpec], dataset: Dataset) -> np.ndarray:

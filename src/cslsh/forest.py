@@ -6,12 +6,14 @@ trie over those strings is never stored: the points whose strings share a
 length-i prefix are one contiguous range [start, end) of the sorted order, so
 a bucket is a slice of the order and its collision count a subtraction.
 
-``PrefixCursor`` walks q's path one level at a time, narrowing the parent's
-range by one binary search. It stops where the trie would have a leaf -- a
-range holding a single point, or depth K -- so a point's pointer lives at the
-shortest prefix of its string that is unique in the tree (depth K when none
-is), exact duplicates are first-class, and a bucket below a single-point leaf
-is found by checking that point's remaining bits against q's.
+Each tree stores its K members once, as one parameter array. ``PrefixCursor``
+hashes q against that array once, to its K-bit string, then walks q's path
+one level at a time, narrowing the parent's range by one binary search. It
+stops where the trie would have a leaf -- a range holding a single point, or
+depth K -- so a point's pointer lives at the shortest prefix of its string
+that is unique in the tree (depth K when none is), exact duplicates are
+first-class, and a bucket below a single-point leaf is found by comparing
+that point's remaining bits with q's.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .families import (
     LshFamily,
     SignRandomProjection,
     pack_strings,
+    stack_params,
 )
 
 
@@ -60,32 +63,28 @@ def sort_strings(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class PrefixCursor:
     """Lazy walk down one tree along q's hash prefix.
 
-    ``ranges[d]`` is q's length-d prefix range. Hash bits are evaluated one
-    level at a time (each charged once) and the path is extended on demand,
-    so a walk to level i costs at most i hash evaluations and i + 1 node
-    visits (the root plus one per non-empty step), however often the tree is
-    revisited at other levels. The walk stops at a range of one point, where
-    ``range`` checks that point's remaining bits instead, or at an empty range.
+    q's K-bit string ``qs`` is computed once, when the cursor is made, and
+    its length-d prefix is ``qs >> (K - d)``. ``ranges[d]`` is q's length-d
+    prefix range, extended on demand. Hash evaluations are charged lazily, as
+    the cost model counts them: ``charged`` is the deepest level whose bit a
+    walk step or a leaf check has consumed, so a walk to level i costs at
+    most i hash evaluations and i + 1 node visits (the root plus one per
+    non-empty step), however often the tree is revisited at other levels.
+    The walk stops at a range of one point, where ``range`` compares that
+    point's remaining bits with q's instead, or at an empty range.
     """
 
-    __slots__ = ("tree", "q", "counters", "strings", "bits", "ranges", "stopped")
+    __slots__ = ("tree", "counters", "strings", "qs", "charged", "ranges", "stopped")
 
     def __init__(self, tree: "ForestTrie", q, counters: CostCounters):
         self.tree = tree
-        self.q = q
         self.counters = counters
         self.strings = memoryview(tree.sorted_strings)
-        self.bits: list[int] = []
+        self.qs = tree.family.query_string(tree.params, q)
+        self.charged = 0
         self.ranges = [(0, tree.n)]
         self.stopped = False
         counters.nodes_visited += 1
-
-    def _bit(self, d: int) -> int:
-        bits = self.bits
-        while len(bits) <= d:
-            bits.append(self.tree.members[len(bits)].evaluate(self.q))
-            self.counters.hash_evaluations += 1
-        return bits[d]
 
     def _extend(self, i: int) -> None:
         if self.stopped:
@@ -94,22 +93,18 @@ class PrefixCursor:
         d = len(ranges) - 1
         strings = self.strings
         K = self.tree.K
-        bits = self.bits
+        qs = self.qs
         counters = self.counters
         lo, hi = ranges[d]
-        prefix = strings[lo] >> (K - d)
         while d < i:
             if hi - lo == 1:
                 self.stopped = True
                 return
-            # _bit inlined for the hot loop: bits come in level order, so
-            # step d needs at most the one new bit d.
-            if d == len(bits):
-                bits.append(self.tree.members[d].evaluate(self.q))
-                counters.hash_evaluations += 1
-            prefix = prefix << 1 | bits[d]
             d += 1
-            lo, hi = prefix_range(strings, prefix, d, K, lo, hi)
+            if d > self.charged:
+                counters.hash_evaluations += 1
+                self.charged = d
+            lo, hi = prefix_range(strings, qs >> (K - d), d, K, lo, hi)
             ranges.append((lo, hi))
             if lo == hi:
                 self.stopped = True
@@ -125,11 +120,16 @@ class PrefixCursor:
             return ranges[i]
         lo, hi = ranges[-1]
         if hi - lo == 1:
-            s = self.strings[lo]
-            K = self.tree.K
-            for d in range(len(ranges) - 1, i):
-                if ((s >> (K - 1 - d)) & 1) != self._bit(d):
-                    return lo, lo
+            # The point shares q's prefix down to the walk's depth, so its
+            # string differs from q's, if at all, at levels below it; the
+            # check consumes bits down to the first mismatch, or to level i.
+            diff = (self.strings[lo] ^ self.qs) >> (self.tree.K - i)
+            depth = i - diff.bit_length() + 1 if diff else i
+            if depth > self.charged:
+                self.counters.hash_evaluations += depth - self.charged
+                self.charged = depth
+            if diff:
+                return lo, lo
         return lo, hi
 
     def count(self, i: int) -> int:
@@ -165,19 +165,25 @@ class LevelCursor:
 
 
 class ForestTrie:
-    """One tree of the forest: K member hashes, the sorted string array and
-    the point order beside it."""
+    """One tree of the forest: its K members as one parameter array, the
+    sorted string array and the point order beside it."""
 
-    __slots__ = ("index", "K", "n", "members", "order", "sorted_strings")
+    __slots__ = ("index", "K", "n", "family", "params", "order", "sorted_strings")
 
-    def __init__(self, index: int, K: int, members: list[HashSpec],
+    def __init__(self, index: int, family: LshFamily, params: np.ndarray,
                  order: np.ndarray, sorted_strings: np.ndarray):
         self.index = index
-        self.K = K
+        self.K = len(params)
         self.n = sorted_strings.shape[0]
-        self.members = members
+        self.family = family
+        self.params = params
         self.order = order
         self.sorted_strings = sorted_strings
+
+    @property
+    def members(self) -> list[HashSpec]:
+        """The K members as per-member reference hashes, level 1 first."""
+        return [HashSpec(self.family, p) for p in self.params]
 
     def _walk(self, q, i: int, counters: CostCounters | None) -> tuple[int, int, int]:
         """(start, end, node visits) of q's level-i range by a fresh walk,
@@ -251,7 +257,7 @@ def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,
     for j in range(L):
         members = family.sample_members(seed.child("tree", j), K)
         order, sorted_strings = sort_strings(pack_strings(members, dataset))
-        trees.append(ForestTrie(j, K, members, order, sorted_strings))
+        trees.append(ForestTrie(j, family, stack_params(members), order, sorted_strings))
     return Forest(dataset, family, K, L, seed, trees)
 
 
@@ -353,12 +359,9 @@ def forest_to_bytes(forest: Forest) -> bytes:
         forest.L,
     )
     parts = [header, _seed_bytes(forest.seed)]
+    param_dtype = "<u4" if isinstance(forest.family, BitSampling) else "<f8"
     for tree in forest.trees:
-        if forest.family.kind == "bit-sampling":
-            params = np.array([m.param for m in tree.members], dtype="<u4")
-        else:
-            params = np.stack([m.param for m in tree.members]).astype("<f8")
-        parts.append(params.tobytes())
+        parts.append(tree.params.astype(param_dtype).tobytes())
         parts.append(tree.order.astype("<i8").tobytes())
         parts.append(tree.sorted_strings.astype("<u8").tobytes())
     return b"".join(parts)
@@ -369,20 +372,18 @@ def _read_tree(reader: PayloadReader, family: LshFamily, j: int, K: int, n: int)
     prefix-range walk relies on."""
     dim = family.dim
     if isinstance(family, BitSampling):
-        params = reader.array("<u4", K)
+        params = reader.array("<u4", K).astype(np.int64)
         if (params >= dim).any():
             raise FormatError("bit-sampling coordinate out of range")
-        members = [HashSpec(family, int(p)) for p in params]
     else:
         params = reader.array("<f8", K * dim).reshape(K, dim)
-        members = [HashSpec(family, row) for row in params]
     order = reader.array("<i8", n)
     strings = reader.array("<u8", n)
     if ((order < 0) | (order >= n)).any() or np.bincount(order, minlength=n).max() != 1:
         raise FormatError("tree order is not a permutation of the point ids")
     if (strings[1:] < strings[:-1]).any() or int(strings[-1]) >> K:
         raise FormatError(f"tree strings are not sorted {K}-bit values")
-    return ForestTrie(j, K, members, order, strings)
+    return ForestTrie(j, family, params, order, strings)
 
 
 def forest_from_bytes(data: bytes, dataset: Dataset) -> Forest:

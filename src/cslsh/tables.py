@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import CsState
-from .core import Dataset, RngSeed, order_minimum
-from .families import LshFamily, pack_strings
+from .core import Dataset, Metric, RngSeed, distance, order_minimum
+from .families import HashSpec, LshFamily, pack_strings, stack_params
 from .forest import prefix_range, sort_strings
 
 
@@ -53,19 +53,19 @@ class QueryStats:
 
 
 class HashTable:
-    """One table: K_cat concatenated members, the sorted values and the point
-    order beside them."""
+    """One table: its K_cat concatenated members as one parameter array, the
+    sorted values and the point order beside them."""
 
-    __slots__ = ("index", "members", "values", "order")
+    __slots__ = ("index", "params", "values", "order")
 
-    def __init__(self, index: int, members, dataset: Dataset):
+    def __init__(self, index: int, members: list[HashSpec], dataset: Dataset):
         self.index = index
-        self.members = members
+        self.params = stack_params(members)
         self.order, self.values = sort_strings(pack_strings(members, dataset))
 
     def bucket_ids(self, value: int) -> np.ndarray:
         """Ids of the points whose concatenated value equals ``value``."""
-        k = len(self.members)
+        k = len(self.params)
         lo, hi = prefix_range(memoryview(self.values), value, k, k)
         return self.order[lo:hi]
 
@@ -130,9 +130,7 @@ class TableSequence:
         uniformly random point, which costs one distance computation.
         """
         tab = self.table(i)
-        value = 0
-        for m in tab.members:
-            value = (value << 1) | m.evaluate(q)
+        value = self.family.query_string(tab.params, q)
         stats.hash_evaluations += self.k_cat
         stats.tables_queried += 1
         ids = tab.bucket_ids(value)
@@ -210,26 +208,14 @@ def default_k_cat(dataset: Dataset, family: LshFamily, seed: RngSeed,
     if not keep.any():
         return 1
     a, b = a[keep], b[keep]
-    if dataset.metric.value == "hamming":
+    if dataset.metric is Metric.HAMMING:
         d = np.bitwise_count(dataset.words[a] ^ dataset.words[b]).sum(axis=1)
     else:
-        d = np.array(
-            [
-                float(
-                    np.linalg.norm(dataset.reals[x] - dataset.reals[y])
-                    if dataset.metric.value == "euclidean"
-                    else _angle(dataset.reals[x], dataset.reals[y])
-                )
-                for x, y in zip(a, b)
-            ]
-        )
+        d = np.array([distance(dataset.metric, dataset.reals[x], dataset.reals[y])
+                      for x, y in zip(a, b)])
     p = family.collision_probability_many(d)
     for k in range(1, cap + 1):
         if dataset.n * float(np.mean(p**k)) <= 1.0:
             return k
     return cap
 
-
-def _angle(x, y):
-    cos = float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
-    return math.acos(min(1.0, max(-1.0, cos)))

@@ -60,6 +60,20 @@ def test_generate_build_query_round_trip(tmp_path):
     assert all(r["returned"] == r["true"] for r in rows)  # brute recall 1.0
 
 
+def test_file_instance_header_describes_loaded_instance(tmp_path):
+    prefix = str(tmp_path / "inst")
+    assert main([
+        "generate", "--instance", "uniform-hamming", "-n", "60", "--dim", "40",
+        "--queries", "7", "--instance-seed", "3", "--out", prefix,
+    ]) == 0
+    rows, summary = run_query_experiment(
+        {"instance": f"file:{prefix}", "metric": "hamming", "algorithm": "brute"})
+    config = json.loads(rows[0])["config"]
+    assert (config["n"], config["dim"], config["queries"]) == (60, 40, 7)
+    assert config["instance_seed"] is None
+    assert len(rows) == 1 + 7 and summary["n"] == 60
+
+
 def test_build_rejects_zero_levels(tmp_path):
     rc = main([
         "build", "--instance", "uniform-hamming", "-n", "16", "--dim", "8",

@@ -13,6 +13,7 @@ from cslsh.core import (
     _pack_bits,
     _unpack_bits,
 )
+from cslsh.oracle import brute_force_nn
 
 
 def bits(s):
@@ -97,6 +98,22 @@ def test_dataset_metric_representation_compat():
         Dataset(Metric.HAMMING, 4, reals=np.zeros((2, 4)))
     with pytest.raises(ValueError):
         Dataset(Metric.EUCLIDEAN, 4, words=np.zeros((2, 1), dtype=np.uint64))
+
+
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.ANGULAR])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reals_rejected(metric, bad):
+    rows = np.arange(1.0, 13.0).reshape(3, 4)
+    poisoned = rows.copy()
+    poisoned[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dataset.from_reals(poisoned, metric)
+    ds = Dataset.from_reals(rows, metric)
+    q = np.array([bad, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        ds.check_query(q)
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_nn(ds, q)
 
 
 def test_rng_derivation_deterministic_and_distinct():

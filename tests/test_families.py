@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cslsh.core import Dataset, RngSeed, _pack_bits
+from cslsh.core import Dataset, Metric, RngSeed, _pack_bits
 from cslsh.families import (
     BitSampling,
     HashSpec,
     SignRandomProjection,
-    concat_hash,
     make_family,
     pack_strings,
+    stack_params,
 )
 
 SEED = RngSeed(99)
@@ -121,18 +121,27 @@ def test_empirical_matches_analytic_over_members():
         assert abs(rate - f) <= tol
 
 
+def reference_string(members, x) -> int:
+    """The per-member reference: each member's bit, level 1 most significant."""
+    value = 0
+    for m in members:
+        value = (value << 1) | m.evaluate(x)
+    return value
+
+
 def test_concat_hash_basics():
+    # q's K-bit string from one query_string call: level 1 is the most
+    # significant bit, and a level-i prefix is the string shifted by K - i.
     ds = Dataset.from_bits(np.array([[1, 0, 1, 1], [1, 0, 1, 1]], dtype=np.uint8))
     fam = BitSampling(4)
     members = fam.sample_members(SEED.child("cc"), 1)
-    hs = concat_hash(members, ds.point(0))
-    assert hs.length == 1 and hs.value_at(1) == members[0].evaluate(ds.point(0))
+    assert fam.query_string(stack_params(members), ds.point(0)) == members[0].evaluate(ds.point(0))
     members3 = fam.sample_members(SEED.child("cc3"), 3)
-    a = concat_hash(members3, ds.point(0))
-    b = concat_hash(members3, ds.point(1))
-    assert a == b  # identical points, identical strings
-    assert a.values() == [a.value_at(i) for i in (1, 2, 3)]
-    assert a.prefix(0) == 0 and a.prefix(3) == a.value
+    params3 = stack_params(members3)
+    a = fam.query_string(params3, ds.point(0))
+    assert a == fam.query_string(params3, ds.point(1))  # identical points, identical strings
+    assert [(a >> (3 - i)) & 1 for i in (1, 2, 3)] == [m.evaluate(ds.point(0)) for m in members3]
+    assert 0 <= a < 8
 
 
 def test_level2_prefix_collision_rate():
@@ -155,7 +164,27 @@ def test_pack_strings_matches_concat_hash():
     members = fam.sample_members(SEED.child("ps-m"), 5)
     packed = pack_strings(members, ds)
     for i in range(10):
-        assert int(packed[i]) == concat_hash(members, ds.point(i)).value
+        assert int(packed[i]) == reference_string(members, ds.point(i))
+
+
+@pytest.mark.parametrize("kind,dim", [("bit-sampling", 32), ("bit-sampling", 96),
+                                      ("bit-sampling", 130), ("sign-random-projection", 24)])
+def test_query_string_equals_stored_string(kind, dim):
+    # One query_string call per point gives the string pack_strings stores
+    # and the concatenation of the per-member reference bits, for packed
+    # points of one, two and three words and for real points.
+    rng = SEED.child("qs", dim).generator()
+    if kind == "bit-sampling":
+        ds = Dataset.from_bits(rng.integers(0, 2, size=(40, dim), dtype=np.uint8))
+    else:
+        ds = Dataset.from_reals(rng.standard_normal((40, dim)), Metric.ANGULAR)
+    fam = make_family(kind, dim)
+    members = fam.sample_members(SEED.child("qs-m", dim), 64)
+    params = stack_params(members)
+    packed = pack_strings(members, ds)
+    for i in range(ds.n):
+        got = fam.query_string(params, ds.point(i))
+        assert got == int(packed[i]) == reference_string(members, ds.point(i))
 
 
 def test_family_dataset_compat():

@@ -60,9 +60,7 @@ def test_expected_bucket_size_matches_analytic():
     sizes = np.empty(tables)
     for i in range(1, tables + 1):
         tab = seq.table(i)
-        value = 0
-        for m in tab.members:
-            value = (value << 1) | m.evaluate(q)
+        value = fam.query_string(tab.params, q)
         sizes[i - 1] = len(tab.bucket_ids(value))
     se = sizes.std(ddof=1) / math.sqrt(tables)
     assert abs(sizes.mean() - want) <= 3 * se + 1e-3
