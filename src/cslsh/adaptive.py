@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import CsState
-from .core import CostCounters, Dataset, FormatError, Metric, RngSeed, order_minimum
+from .core import CostCounters, Dataset, FormatError, RngSeed, order_minimum, uniform_draw
 from .families import LshFamily
 from .forest import (
     Forest,
@@ -118,13 +118,6 @@ class _QueryState:
         ]
         self.best_key = None  # (distance, id) over every candidate inspected
         self.rounds_spread = 0
-        ds = ensemble.dataset
-        if ds.metric is Metric.HAMMING and ds.words.shape[1] == 1:
-            self._words = ds.words[:, 0]
-            self._qword = np.uint64(self.q[0])
-        else:
-            self._words = None
-        self._idshift = ds.id_bits
 
     def cursor(self, f: int, tau: int) -> PrefixCursor:
         cur = self.cursors[f][tau]
@@ -138,13 +131,8 @@ class _QueryState:
             self.best_key = key
 
     def inspect_bucket(self, ids: np.ndarray, limit: int | None = None):
-        """Distance-scan a bucket (optionally truncated) and return the key
-        of its minimum under the query order, or None for an empty scan.
-
-        Keys are packed ints ``(distance << id_bits) | id`` for single-word
-        Hamming data and (distance, id) tuples otherwise; both compare
-        lexicographically by (distance, id).
-        """
+        """Distance-scan a bucket (optionally truncated to ``limit`` ids) and
+        return its (distance, id) order-minimum, or None for an empty scan."""
         m = len(ids)
         truncated = False
         if limit is not None and m > limit:
@@ -156,47 +144,21 @@ class _QueryState:
         c = self.counters
         c.collisions_inspected += m
         c.buckets_opened += 1
-        if self._words is not None:
-            if m < 40:
-                words = self._words
-                qw = self._qword
-                shift = self._idshift
-                best = None
-                for pid in ids:
-                    k = (int(words[pid] ^ qw).bit_count() << shift) | int(pid)
-                    if best is None or k < best:
-                        best = k
-            else:
-                d = np.bitwise_count(self._words[ids] ^ self._qword).astype(np.int64)
-                keys = (d << self._idshift) | ids
-                best = int(keys.min())
-            self._track(best)
-            return best, m, truncated
         key = order_minimum(self.dataset, self.q, ids)
         self._track(key)
         return key, m, truncated
 
     def draw_uniform(self, f: int):
         """Empty-bucket fallback: a uniformly random point, one distance."""
-        pid = int(self.rngs[f].integers(self.dataset.n))
         c = self.counters
         c.collisions_inspected += 1
         c.buckets_opened += 1
-        if self._words is not None:
-            key = (int(self._words[pid] ^ self._qword).bit_count() << self._idshift) | pid
-        else:
-            d = self.dataset.distances_to(self.q, np.array([pid]))[0].item()
-            key = (d, pid)
+        key = uniform_draw(self.dataset, self.q, self.rngs[f])
         self._track(key)
         return key
 
     def best_point(self) -> int:
-        key = self.best_key
-        if key is None:
-            return -1
-        if isinstance(key, tuple):
-            return key[1]
-        return key & ((1 << self._idshift) - 1)
+        return -1 if self.best_key is None else self.best_key[1]
 
 
 def choose_level(state: _QueryState, j: int) -> int:

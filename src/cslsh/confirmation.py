@@ -25,7 +25,7 @@ class CsState:
     """The tracked-minimum state machine shared by all samplers.
 
     Keys must be totally ordered and equal only for identical elements
-    (queries use ``(distance, point id)`` tuples or packed integer keys).
+    (queries use ``(distance, point id)`` tuples).
     """
 
     __slots__ = ("t", "best", "count")

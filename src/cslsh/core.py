@@ -44,6 +44,11 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return words
 
 
+def _padding_mask(dim: int) -> int:
+    """The bits of a point's last packed word that lie beyond ``dim``."""
+    return (1 << 64) - (1 << (dim % 64)) if dim % 64 else 0
+
+
 def _unpack_bits(words: np.ndarray, dim: int) -> np.ndarray:
     n = words.shape[0]
     out = np.zeros((n, dim), dtype=np.uint8)
@@ -59,7 +64,7 @@ class Dataset:
     float64 rows. Point ids are the dense range [0, n).
     """
 
-    __slots__ = ("metric", "dim", "n", "words", "reals", "_norms", "id_bits")
+    __slots__ = ("metric", "dim", "n", "words", "reals", "_norms")
 
     def __init__(self, metric: Metric, dim: int, *, words=None, reals=None):
         if dim <= 0:
@@ -71,6 +76,10 @@ class Dataset:
                 raise ValueError("Hamming datasets require packed bit vectors")
             self.words = np.ascontiguousarray(words, dtype=np.uint64)
             self.reals = None
+            if self.words.ndim != 2 or self.words.shape[1] != (dim + 63) // 64:
+                raise ValueError("packed bit vectors need ceil(dim / 64) words per point")
+            if (self.words[:, -1] & np.uint64(_padding_mask(dim))).any():
+                raise ValueError("packed bit vectors have bits set beyond the dimension")
             self.n = self.words.shape[0]
         else:
             if reals is None:
@@ -89,7 +98,6 @@ class Dataset:
             self._norms = np.linalg.norm(self.reals, axis=1)
             if (self._norms == 0).any():
                 raise ValueError("angular metric requires nonzero vectors")
-        self.id_bits = max(1, int(self.n - 1).bit_length())
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "Dataset":
@@ -129,6 +137,8 @@ class Dataset:
         if self.metric is Metric.HAMMING:
             if q.dtype != np.uint64 or q.shape != (self.words.shape[1],):
                 raise ValueError("query must be packed uint64 words of matching width")
+            if int(q[-1]) & _padding_mask(self.dim):
+                raise ValueError("query has bits set beyond the dimension")
             return q
         if q.shape != (self.dim,):
             raise ValueError("dimension mismatch")
@@ -140,6 +150,9 @@ class Dataset:
     def distances_to(self, q: np.ndarray, ids=None) -> np.ndarray:
         """Distances from q to the given ids (all points when ids is None)."""
         if self.metric is Metric.HAMMING:
+            if self.words.shape[1] == 1:  # one word per point: no row sum
+                rows = self.words[:, 0] if ids is None else self.words[:, 0][ids]
+                return np.bitwise_count(rows ^ q[0]).astype(np.int64)
             rows = self.words if ids is None else self.words[ids]
             return np.bitwise_count(rows ^ q).sum(axis=1).astype(np.int64)
         rows = self.reals if ids is None else self.reals[ids]
@@ -196,18 +209,34 @@ class QueryOrder:
         return order_minimum(self.dataset, self.q)[1]
 
 
+# Below this many ids the single-word Hamming minimum is a Python loop over
+# the words as ints; a numpy kernel call costs more than the loop there.
+SMALL_BUCKET = 32
+
+
 def order_minimum(dataset: Dataset, q: np.ndarray, ids=None) -> tuple:
-    """The (distance, id) order-minimum of q over the given nonempty ids, or
-    over all points when ids is None, from one distance-kernel call."""
+    """The (distance, id) order-minimum of q over the given nonempty id array,
+    or over all points when ids is None. Every query takes its minima here."""
+    if (ids is not None and len(ids) < SMALL_BUCKET
+            and dataset.metric is Metric.HAMMING and dataset.words.shape[1] == 1):
+        qw = int(q[0])
+        return min(((w ^ qw).bit_count(), pid)
+                   for w, pid in zip(dataset.words[:, 0][ids].tolist(), ids.tolist()))
     d = dataset.distances_to(q, ids)
     if ids is None:
-        pos = int(np.flatnonzero(d == d.min()).min())
+        pos = int(np.argmin(d))  # the first minimum: ties go to the smallest id
         return d[pos].item(), pos
     if d.dtype.kind == "i":
         pos = int(np.argmin(d * dataset.n + ids))
     else:
         pos = int(np.lexsort((ids, d))[0])
     return d[pos].item(), int(ids[pos])
+
+
+def uniform_draw(dataset: Dataset, q: np.ndarray, rng: np.random.Generator) -> tuple:
+    """The empty-bucket fallback draw: the (distance, id) key of a uniformly
+    random point, one distance computation."""
+    return order_minimum(dataset, q, np.array([rng.integers(dataset.n)]))
 
 
 @dataclass

@@ -305,11 +305,34 @@ def load_instance(prefix: str, metric: Metric, spec: InstanceSpec | None = None)
     else:
         dataset = load_dataset(prefix + ".data.fvecs", metric)
         queries = load_dataset(prefix + ".queries.fvecs", metric)
-    truth = np.full(queries.n, -1, dtype=np.int64)
-    with open(prefix + ".truth.csv", newline="") as fh:
-        for row in _csv.reader(fh):
-            if row:
-                truth[int(row[0])] = int(row[1])
+    truth = _load_truth(prefix + ".truth.csv", queries.n, dataset.n)
     if spec is None:
         spec = InstanceSpec("loaded", dataset.n, dataset.dim, queries.n, 0)
     return Instance(spec, dataset, queries, truth)
+
+
+def _load_truth(path: str, n_queries: int, n: int) -> np.ndarray:
+    """Ground-truth CSV: one ``query index, point id`` row per query, each
+    query index in [0, n_queries) exactly once, each id in [0, n)."""
+    truth = np.full(n_queries, -1, dtype=np.int64)
+    with open(path, newline="") as fh:
+        for rownum, row in enumerate(_csv.reader(fh)):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise FormatError(f"truth row {rownum} must hold two cells")
+            try:
+                k, pid = int(row[0]), int(row[1])
+            except ValueError:
+                raise FormatError(f"non-numeric cell at truth row {rownum}") from None
+            if not 0 <= k < n_queries:
+                raise FormatError(f"query index {k} out of range at truth row {rownum}")
+            if truth[k] >= 0:
+                raise FormatError(f"duplicate query index {k} at truth row {rownum}")
+            if not 0 <= pid < n:
+                raise FormatError(f"truth id {pid} out of range at truth row {rownum}")
+            truth[k] = pid
+    missing = np.flatnonzero(truth < 0)
+    if missing.size:
+        raise FormatError(f"no truth row for query {int(missing[0])}")
+    return truth

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import CsState
-from .core import Dataset, Metric, RngSeed, distance, order_minimum
+from .core import Dataset, Metric, RngSeed, distance, order_minimum, uniform_draw
 from .families import HashSpec, LshFamily, pack_strings, stack_params
 from .forest import prefix_range, sort_strings
 
@@ -137,9 +137,7 @@ class TableSequence:
         if len(ids) == 0:
             stats.empty_bucket_fallbacks += 1
             stats.distance_computations += 1
-            pid = int(rng.integers(self.dataset.n))
-            d = self.dataset.distances_to(q, np.array([pid]))[0]
-            return (d.item(), pid)
+            return uniform_draw(self.dataset, q, rng)
         if max_candidates is not None and len(ids) > max_candidates:
             ids = ids[:max_candidates]
         stats.distance_computations += len(ids)

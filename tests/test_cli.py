@@ -3,7 +3,8 @@ import json
 import pytest
 
 from cslsh.cli import main, parse_config_file, resolve_config, run_query_experiment
-from cslsh.data import FormatError
+from cslsh.core import Metric
+from cslsh.data import FormatError, load_instance
 
 
 def test_config_file_parsing(tmp_path):
@@ -224,3 +225,27 @@ def test_report_is_self_contained():
     embedded = json.loads(rows[0])["config"]
     rows2, _ = run_query_experiment(embedded)
     assert rows == rows2
+
+
+@pytest.mark.parametrize("truth", [
+    pytest.param("0,1\n1,x\n2,3\n", id="non-numeric"),
+    pytest.param("0,1\n1,2\n7,2\n", id="index-past-last-query"),
+    pytest.param("0,1\n1,2\n-1,4\n", id="negative-index"),
+    pytest.param("0,1\n1,2\n1,3\n", id="duplicate-index"),
+    pytest.param("0,1\n1,2\n", id="missing-row"),
+    pytest.param("0,1\n1,2\n2,40\n", id="id-past-last-point"),
+    pytest.param("0,1\n1,2\n2,-1\n", id="negative-id"),
+    pytest.param("0,1\n1,2\n2,3,4\n", id="extra-cell"),
+])
+def test_malformed_truth_csv_is_a_format_error(tmp_path, truth, capsys):
+    prefix = str(tmp_path / "inst")
+    assert main(["generate", "--instance", "uniform-hamming", "-n", "40", "--dim", "16",
+                 "--queries", "3", "--out", prefix]) == 0
+    with open(prefix + ".truth.csv", "w") as fh:
+        fh.write(truth)
+    with pytest.raises(FormatError):
+        load_instance(prefix, Metric.HAMMING)
+    capsys.readouterr()
+    assert main(["query", "--instance", f"file:{prefix}", "--metric", "hamming",
+                 "--algorithm", "brute"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslsh.core import (
+    SMALL_BUCKET,
     Dataset,
     Metric,
     QueryOrder,
     RngSeed,
     derive_rng,
     distance,
+    order_minimum,
+    uniform_draw,
     _pack_bits,
     _unpack_bits,
 )
@@ -114,6 +117,66 @@ def test_non_finite_reals_rejected(metric, bad):
         ds.check_query(q)
     with pytest.raises(ValueError, match="finite"):
         brute_force_nn(ds, q)
+
+
+def _words(rows):
+    return np.array(rows, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Dataset.from_packed(_words([[0xF0], [0x0F]]), 4),
+    lambda: Dataset.from_packed(_words([[0], [1 << 63]]), 63),
+    lambda: Dataset.from_packed(_words([[0, 0], [0, 4]]), 66),
+    lambda: Dataset.from_packed(_words([[0, 0], [0, 0]]), 64),
+    lambda: Dataset.from_packed(_words([[0], [0]]), 65),
+    lambda: Dataset.from_packed(_words([0, 0]), 4),
+    lambda: Dataset.from_bits(np.zeros((2, 4), dtype=np.uint8)).check_query(_words([0xF0])),
+    lambda: Dataset.from_bits(np.zeros((2, 130), dtype=np.uint8)).check_query(
+        _words([0, 0, 1 << 2])),
+], ids=["bits-past-dim-4", "bit-63-of-dim-63", "bits-past-dim-66", "extra-word",
+        "missing-word", "not-2d", "query-bits-past-dim-4", "query-bit-130-of-130"])
+def test_hamming_words_must_fit_the_dimension(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def _kernel_instance(metric, dim, rng):
+    """300 points drawn from 24 distinct rows, so that distances tie, and a
+    query drawn apart from them."""
+    if metric is Metric.HAMMING:
+        base = rng.integers(0, 2, size=(24, dim), dtype=np.uint8)
+        ds = Dataset.from_bits(base[rng.integers(24, size=300)])
+        q = _pack_bits(rng.integers(0, 2, size=(1, dim), dtype=np.uint8))[0]
+        return ds, q
+    base = rng.standard_normal((24, dim))
+    return Dataset.from_reals(base[rng.integers(24, size=300)], metric), rng.standard_normal(dim)
+
+
+def _reference_minimum(ds, q, ids=None):
+    """min((distance, id)), point by point."""
+    pids = range(ds.n) if ids is None else ids.tolist()
+    if ds.metric is Metric.HAMMING:
+        return min((distance(ds.metric, ds.point(i), q), i) for i in pids)
+    # Real data: the distance kernel's own values for these ids. The angular
+    # matrix-vector product can round a row differently, by an ulp, with the
+    # number of rows it scans.
+    return min(zip(ds.distances_to(q, ids).tolist(), pids))
+
+
+@pytest.mark.parametrize("metric, dim", [
+    (Metric.HAMMING, 32), (Metric.HAMMING, 64), (Metric.HAMMING, 96), (Metric.HAMMING, 130),
+    (Metric.ANGULAR, 16), (Metric.EUCLIDEAN, 16),
+])
+def test_order_minimum_matches_per_point_reference(metric, dim):
+    rng = np.random.default_rng(dim)
+    ds, q = _kernel_instance(metric, dim, rng)
+    assert order_minimum(ds, q) == _reference_minimum(ds, q)
+    for m in (1, 2, SMALL_BUCKET - 1, SMALL_BUCKET, 3 * SMALL_BUCKET):
+        for _ in range(20):
+            ids = rng.choice(ds.n, size=m, replace=False)  # unsorted, like a tree bucket
+            assert order_minimum(ds, q, ids) == _reference_minimum(ds, q, ids)
+    pid = np.random.default_rng(5).integers(ds.n, size=1)
+    assert uniform_draw(ds, q, np.random.default_rng(5)) == _reference_minimum(ds, q, pid)
 
 
 def test_rng_derivation_deterministic_and_distinct():
