@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import CsState
-from .core import CostCounters, Dataset, FormatError, RngSeed, order_minimum, uniform_draw
+from .core import (
+    CostCounters, Dataset, FormatError, Metric, RngSeed, order_minimum, uniform_draw,
+)
 from .families import LshFamily
 from .forest import (
     Forest,
@@ -103,19 +105,26 @@ class AdaptiveResult:
 
 
 class _QueryState:
-    """Everything owned by one adaptive query."""
+    """Everything owned by one adaptive query.
+
+    The query re-inspects the same points many times (levels i and i-1 for
+    every j, and every restart of the bottom-up sweep), so it keeps a lazy
+    distance memo: each point's distance is computed the first time a bucket
+    or a fallback draw inspects it and gathered from the memo afterwards.
+    Work is still charged for every inspection, as the cost model counts it.
+    """
 
     def __init__(self, ensemble: ForestEnsemble, q, seed: RngSeed):
         self.ensemble = ensemble
-        self.dataset = ensemble.dataset
+        self.dataset = ds = ensemble.dataset
         self.q = ensemble.dataset.check_query(q)
         self.counters = CostCounters()
         self.cursors = [
             [None] * ensemble.l_prime for _ in range(ensemble.R)
         ]
-        self.rngs = [
-            seed.child("forest", r).generator() for r in range(ensemble.R)
-        ]
+        self.seed = seed
+        self.rngs = [None] * ensemble.R  # a forest's fallback stream, made on its first draw
+        self.memo = np.full(ds.n, -1, np.int64 if ds.metric is Metric.HAMMING else np.float64)
         self.best_key = None  # (distance, id) over every candidate inspected
         self.rounds_spread = 0
 
@@ -131,8 +140,9 @@ class _QueryState:
             self.best_key = key
 
     def inspect_bucket(self, ids: np.ndarray, limit: int | None = None):
-        """Distance-scan a bucket (optionally truncated to ``limit`` ids) and
-        return its (distance, id) order-minimum, or None for an empty scan."""
+        """Inspect a bucket (optionally truncated to ``limit`` ids) and return
+        its (distance, id) order-minimum, or None for an empty scan. Every id
+        is charged; only those the memo does not know are computed."""
         m = len(ids)
         truncated = False
         if limit is not None and m > limit:
@@ -144,7 +154,7 @@ class _QueryState:
         c = self.counters
         c.collisions_inspected += m
         c.buckets_opened += 1
-        key = order_minimum(self.dataset, self.q, ids)
+        key = order_minimum(self.dataset, self.q, ids, self.memo)
         self._track(key)
         return key, m, truncated
 
@@ -153,7 +163,10 @@ class _QueryState:
         c = self.counters
         c.collisions_inspected += 1
         c.buckets_opened += 1
-        key = uniform_draw(self.dataset, self.q, self.rngs[f])
+        rng = self.rngs[f]
+        if rng is None:
+            rng = self.rngs[f] = self.seed.child("forest", f).generator()
+        key = uniform_draw(self.dataset, self.q, rng, self.memo)
         self._track(key)
         return key
 

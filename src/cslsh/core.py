@@ -162,7 +162,10 @@ class Dataset:
         qn = np.linalg.norm(q)
         if qn == 0:
             raise ValueError("angular metric requires a nonzero query")
-        cos = (rows @ q) / (norms * qn)
+        # Row by row, never ``rows @ q``: BLAS rounds a row differently with
+        # the number of rows it scans, and a point's key must not depend on
+        # the bucket it was found in.
+        cos = np.einsum("ij,j->i", rows, q) / (norms * qn)
         return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
@@ -214,15 +217,27 @@ class QueryOrder:
 SMALL_BUCKET = 32
 
 
-def order_minimum(dataset: Dataset, q: np.ndarray, ids=None) -> tuple:
+def order_minimum(dataset: Dataset, q: np.ndarray, ids=None, memo=None) -> tuple:
     """The (distance, id) order-minimum of q over the given nonempty id array,
-    or over all points when ids is None. Every query takes its minima here."""
-    if (ids is not None and len(ids) < SMALL_BUCKET
+    or over all points when ids is None. Every query takes its minima here.
+
+    ``memo`` is a query's length-n distance array, -1 where a distance is not
+    yet known: only the ids it does not know are computed, and their distances
+    are stored in it. It needs an id array.
+    """
+    if memo is not None:
+        d = memo[ids]
+        fresh = ids[d < 0]
+        if len(fresh):
+            memo[fresh] = dataset.distances_to(q, fresh)
+            d = memo[ids]
+    elif (ids is not None and len(ids) < SMALL_BUCKET
             and dataset.metric is Metric.HAMMING and dataset.words.shape[1] == 1):
         qw = int(q[0])
         return min(((w ^ qw).bit_count(), pid)
                    for w, pid in zip(dataset.words[:, 0][ids].tolist(), ids.tolist()))
-    d = dataset.distances_to(q, ids)
+    else:
+        d = dataset.distances_to(q, ids)
     if ids is None:
         pos = int(np.argmin(d))  # the first minimum: ties go to the smallest id
         return d[pos].item(), pos
@@ -233,10 +248,11 @@ def order_minimum(dataset: Dataset, q: np.ndarray, ids=None) -> tuple:
     return d[pos].item(), int(ids[pos])
 
 
-def uniform_draw(dataset: Dataset, q: np.ndarray, rng: np.random.Generator) -> tuple:
+def uniform_draw(dataset: Dataset, q: np.ndarray, rng: np.random.Generator,
+                 memo=None) -> tuple:
     """The empty-bucket fallback draw: the (distance, id) key of a uniformly
-    random point, one distance computation."""
-    return order_minimum(dataset, q, np.array([rng.integers(dataset.n)]))
+    random point, one distance computation (none when ``memo`` knows it)."""
+    return order_minimum(dataset, q, np.array([rng.integers(dataset.n)]), memo)
 
 
 @dataclass

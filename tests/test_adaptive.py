@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cslsh import adaptive
 from cslsh.adaptive import (
     AdaptiveConfig,
     ForestEnsemble,
@@ -18,8 +19,8 @@ from cslsh.adaptive import (
     run_level_pair,
     trees_per_forest,
 )
-from cslsh.core import Dataset, RngSeed, _pack_bits
-from cslsh.families import BitSampling
+from cslsh.core import Dataset, RngSeed, _pack_bits, order_minimum, uniform_draw
+from cslsh.families import BitSampling, family_for_metric
 from cslsh.oracle import static_level_choice, natural_algorithm
 from cslsh.data import InstanceSpec, generate
 
@@ -255,3 +256,42 @@ def test_adaptive_on_angular_data():
         res = adaptive_nearest_neighbor(ens, inst.query(k), SEED.child("ang-q", k))
         hits += int(res.point == inst.ground_truth[k])
     assert hits >= 38
+
+
+@pytest.mark.parametrize("kind, dim, K", [("planted-nn", 32, 16), ("gaussian-angular", 64, 32)])
+def test_query_computes_each_distance_once(monkeypatch, kind, dim, K):
+    inst = generate(InstanceSpec(kind, n=256, dim=dim, n_queries=2, seed=21))
+    ds = inst.dataset
+    ens = ForestEnsemble(ds, family_for_metric(ds.metric, dim), K, 1,
+                         SEED.child("memo"), l_prime=8)
+    untraced = [adaptive_nearest_neighbor(ens, inst.query(k), SEED.child("memo-q", k))
+                for k in range(2)]
+    computed, inspected = [], []
+    distances_to = Dataset.distances_to
+
+    def counting_distances(dataset, q, ids=None):
+        computed.append(np.arange(dataset.n) if ids is None else np.asarray(ids))
+        return distances_to(dataset, q, ids)
+
+    def counting_minimum(dataset, q, ids, memo):
+        inspected.append(len(ids))
+        return order_minimum(dataset, q, ids, memo)
+
+    def counting_draw(dataset, q, rng, memo):
+        inspected.append(1)
+        return uniform_draw(dataset, q, rng, memo)
+
+    monkeypatch.setattr(Dataset, "distances_to", counting_distances)
+    monkeypatch.setattr(adaptive, "order_minimum", counting_minimum)
+    monkeypatch.setattr(adaptive, "uniform_draw", counting_draw)
+    for k, want in enumerate(untraced):
+        computed.clear()
+        inspected.clear()
+        res = adaptive_nearest_neighbor(ens, inst.query(k), SEED.child("memo-q", k))
+        assert (res.point, res.counters) == (want.point, want.counters)
+        assert res.point == inst.ground_truth[k]
+        # every inspection is still charged, but no point is computed twice
+        assert res.counters.collisions_inspected == sum(inspected)
+        ids = np.concatenate(computed)
+        assert len(np.unique(ids)) == len(ids) <= ds.n
+        assert sum(inspected) > len(ids)

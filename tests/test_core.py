@@ -153,14 +153,13 @@ def _kernel_instance(metric, dim, rng):
 
 
 def _reference_minimum(ds, q, ids=None):
-    """min((distance, id)), point by point."""
+    """min((distance, id)), point by point; on real data a point's distance
+    is the full scan's, which a scan of any other rows must reproduce."""
     pids = range(ds.n) if ids is None else ids.tolist()
     if ds.metric is Metric.HAMMING:
         return min((distance(ds.metric, ds.point(i), q), i) for i in pids)
-    # Real data: the distance kernel's own values for these ids. The angular
-    # matrix-vector product can round a row differently, by an ulp, with the
-    # number of rows it scans.
-    return min(zip(ds.distances_to(q, ids).tolist(), pids))
+    full = ds.distances_to(q).tolist()
+    return min((full[i], i) for i in pids)
 
 
 @pytest.mark.parametrize("metric, dim", [
@@ -177,6 +176,44 @@ def test_order_minimum_matches_per_point_reference(metric, dim):
             assert order_minimum(ds, q, ids) == _reference_minimum(ds, q, ids)
     pid = np.random.default_rng(5).integers(ds.n, size=1)
     assert uniform_draw(ds, q, np.random.default_rng(5)) == _reference_minimum(ds, q, pid)
+
+
+@pytest.mark.parametrize("metric", [Metric.ANGULAR, Metric.EUCLIDEAN])
+@pytest.mark.parametrize("rows", [1, 2, 3, 17, 512])
+def test_distances_do_not_depend_on_the_rows_scanned(metric, rows):
+    # A point's key must be the same in every bucket that holds it.
+    rng = np.random.default_rng(rows)
+    ds = Dataset.from_reals(rng.standard_normal((512, 64)), metric)
+    for _ in range(100):
+        q = rng.standard_normal(64)
+        ids = rng.choice(ds.n, size=rows, replace=False)
+        assert np.array_equal(ds.distances_to(q, ids), ds.distances_to(q)[ids])
+
+
+@pytest.mark.parametrize("metric, dim", [
+    (Metric.HAMMING, 32), (Metric.HAMMING, 130), (Metric.ANGULAR, 16), (Metric.EUCLIDEAN, 16),
+])
+def test_order_minimum_with_memo_matches_memo_free(metric, dim):
+    rng = np.random.default_rng(dim + 1)
+    ds, q = _kernel_instance(metric, dim, rng)
+    memo = np.full(ds.n, -1, np.int64 if metric is Metric.HAMMING else np.float64)
+    pool = rng.choice(ds.n, size=60, replace=False)  # the sets below overlap
+    sets = [rng.choice(pool, size=m, replace=False)
+            for m in (1, 5, SMALL_BUCKET, 40) for _ in range(5)]
+    sets += sets[::3]  # again, once every id is known
+    sets.append(np.concatenate([pool[:3], pool[:3]]))  # ids repeated in one set
+    for ids in sets:
+        assert order_minimum(ds, q, ids, memo) == order_minimum(ds, q, ids)
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = []
+    for _ in range(20):
+        key = uniform_draw(ds, q, rng_a, memo)
+        assert key == uniform_draw(ds, q, rng_b)
+        drawn.append(key[1])
+    seen = np.unique(np.concatenate(sets + [drawn]))
+    known = np.flatnonzero(memo >= 0)
+    assert np.array_equal(known, seen)
+    assert np.array_equal(memo[known], ds.distances_to(q)[known])
 
 
 def test_rng_derivation_deterministic_and_distinct():
