@@ -38,7 +38,6 @@ from .families import (
 from .forest import (
     Forest,
     ForestTrie,
-    LevelCursor,
     build_forest,
     expected_collisions,
     forest_from_bytes,
@@ -56,7 +55,7 @@ from .oracle import (
     profile,
     simulate_cs,
 )
-from .tables import NnResult, QueryStats, SequenceExhausted, TableSequence
+from .tables import NnResult, SequenceExhausted, TableSequence
 
 __version__ = "0.1.0"
 
@@ -75,13 +74,11 @@ __all__ = [
     "ForestEnsemble",
     "ForestTrie",
     "HashSpec",
-    "LevelCursor",
     "LshFamily",
     "Metric",
     "NnResult",
     "OptReport",
     "QueryOrder",
-    "QueryStats",
     "RngSeed",
     "SequenceExhausted",
     "SignRandomProjection",

@@ -49,6 +49,17 @@ class AdaptiveConfig:
     terminate_quorum: float = 0.25
     advance_quorum: float = 0.5
 
+    def __post_init__(self):
+        if self.t < 1:
+            raise ValueError("t must be >= 1")
+        if not (math.isfinite(self.c_forests) and self.c_forests > 0):
+            raise ValueError("c_forests must be finite and positive")
+        if self.collision_cap < 1:
+            raise ValueError("collision_cap must be >= 1")
+        for name in ("terminate_quorum", "advance_quorum"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in (0, 1]")
+
 
 def forests_for(n: int, config: AdaptiveConfig) -> int:
     return max(1, math.ceil(config.c_forests * math.log(max(2, n))))
@@ -163,6 +174,7 @@ class _QueryState:
         c = self.counters
         c.collisions_inspected += 1
         c.buckets_opened += 1
+        c.empty_bucket_fallbacks += 1
         rng = self.rngs[f]
         if rng is None:
             rng = self.rngs[f] = self.seed.child("forest", f).generator()
@@ -397,7 +409,10 @@ def ensemble_from_bytes(data: bytes, dataset: Dataset) -> ForestEnsemble:
     R, l_prime, K, c_forests, t, tq, aq, L, collision_cap = reader.unpack(_ENS_HEADER)
     if R < 1:
         raise FormatError("ensemble holds no forests")
-    config = AdaptiveConfig(c_forests, t, collision_cap, tq, aq)
+    try:
+        config = AdaptiveConfig(c_forests, t, collision_cap, tq, aq)
+    except ValueError as exc:
+        raise FormatError(f"bad ensemble config: {exc}") from exc
     forests = []
     for _ in range(R):
         (blen,) = reader.unpack("<Q")

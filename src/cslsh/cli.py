@@ -39,7 +39,7 @@ from .tables import TableSequence
 
 DEFAULTS = {
     "instance": "uniform-hamming",
-    "metric": "hamming",
+    "metric": None,
     "n": 1024,
     "dim": 32,
     "queries": 100,
@@ -123,14 +123,13 @@ def resolve_config(file_path: str | None, overrides: dict) -> dict:
     return config
 
 
-def _metric(config: dict) -> Metric:
-    return Metric(config["metric"])
-
-
 def instance_from_config(config: dict):
+    """The configured instance. A file instance is read under the configured
+    metric (Hamming when none is given); a generated kind fixes its own, and
+    a configured metric that contradicts it is a ValueError."""
     name = config["instance"]
     if name.startswith("file:"):
-        return load_instance(name[5:], _metric(config))
+        return load_instance(name[5:], Metric(config["metric"] or "hamming"))
     kind = "uniform-hamming" if name == "distance-zero" else name
     spec = InstanceSpec(
         kind,
@@ -146,7 +145,12 @@ def instance_from_config(config: dict):
         shell_flips=config["shell_flips"],
         queries_from_data=config["queries_from_data"] or name == "distance-zero",
     )
-    return generate(spec)
+    instance = generate(spec)
+    metric = instance.dataset.metric.value
+    if config["metric"] not in (None, metric):
+        raise ValueError(f"metric {config['metric']} contradicts the {name} instance, "
+                         f"whose metric is {metric}")
+    return instance
 
 
 def _adaptive_config(config: dict) -> AdaptiveConfig:
@@ -175,6 +179,7 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
     config = resolve_config(config_file, overrides)
     instance = instance_from_config(config)
     dataset = instance.dataset
+    config["metric"] = dataset.metric.value
     if config["instance"].startswith("file:"):
         # The header describes the instance that was loaded, not the
         # generator settings, which a file instance does not use.
@@ -202,10 +207,11 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
         runner = lambda k, q: _run_adaptive(ens, q, seed.child("query", k))
     elif algorithm == "table-cs":
         ts = TableSequence(dataset, family, config["k_cat"], config["l_max"], seed.child("tables"))
-        runner = lambda k, q: _run_table(ts, q, config["delta"], seed.child("query", k))
+        runner = lambda k, q: _table_row(ts.query_nn(q, config["delta"], seed.child("query", k)))
     elif algorithm == "budgeted-cs":
         ts = TableSequence(dataset, family, config["k_cat"], config["l_max"], seed.child("tables"))
-        runner = lambda k, q: _run_budgeted(ts, q, config["delta"], config["l"], seed.child("query", k))
+        runner = lambda k, q: _table_row(
+            ts.query_nn_budgeted(q, config["delta"], config["l"], seed.child("query", k)))
     elif algorithm == "natural":
         if structure_path:
             forest = load_forest(structure_path, dataset)
@@ -268,16 +274,7 @@ def _run_adaptive(ens, q, qseed):
     return out
 
 
-def _run_table(ts, q, delta, qseed):
-    r = ts.query_nn(q, delta, qseed)
-    out = {"returned": int(r.point), "confirmed": r.confirmed, "t": r.t}
-    out.update(r.stats.as_dict())
-    out["work"] = r.stats.total_work
-    return out
-
-
-def _run_budgeted(ts, q, delta, L, qseed):
-    r = ts.query_nn_budgeted(q, delta, L, qseed)
+def _table_row(r):
     out = {"returned": int(r.point), "confirmed": r.confirmed, "t": r.t}
     out.update(r.stats.as_dict())
     out["work"] = r.stats.total_work

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -260,33 +260,23 @@ class CostCounters:
     """Work-unit accounting shared by every query algorithm.
 
     A work unit is one hash evaluation or one candidate distance computation
-    (a collision inspected); bucket opens and trie node visits are tracked
-    for cost-contract checks but are not part of the work currency.
+    (a collision inspected). Buckets opened (one per table draw or forest
+    bucket inspected, fallbacks included), trie node visits and empty-bucket
+    fallbacks are tracked for cost-contract checks, outside the work currency.
     """
 
     hash_evaluations: int = 0
     collisions_inspected: int = 0
     buckets_opened: int = 0
     nodes_visited: int = 0
+    empty_bucket_fallbacks: int = 0
 
     @property
     def total_work(self) -> int:
         return self.hash_evaluations + self.collisions_inspected
 
-    def add(self, other: "CostCounters") -> None:
-        self.hash_evaluations += other.hash_evaluations
-        self.collisions_inspected += other.collisions_inspected
-        self.buckets_opened += other.buckets_opened
-        self.nodes_visited += other.nodes_visited
-
     def as_dict(self) -> dict:
-        return {
-            "hash_evaluations": self.hash_evaluations,
-            "collisions_inspected": self.collisions_inspected,
-            "buckets_opened": self.buckets_opened,
-            "nodes_visited": self.nodes_visited,
-            "total_work": self.total_work,
-        }
+        return {**asdict(self), "total_work": self.total_work}
 
 
 _TAG_CACHE: dict[str, int] = {}

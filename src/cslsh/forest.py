@@ -141,29 +141,6 @@ class PrefixCursor:
         return self.tree.order[lo:hi]
 
 
-class LevelCursor:
-    """Enumeration handle over one prefix bucket S_{i,j}(q).
-
-    ``ids`` lists each member exactly once, in trie order (by hash string,
-    by point id among equal strings). ``node_visits`` counts the trie nodes
-    touched to locate the bucket.
-    """
-
-    __slots__ = ("ids", "node_visits", "tree", "level")
-
-    def __init__(self, ids: np.ndarray, node_visits: int, tree: int, level: int):
-        self.ids = ids
-        self.node_visits = node_visits
-        self.tree = tree
-        self.level = level
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self):
-        return len(self.ids)
-
-
 class ForestTrie:
     """One tree of the forest: its K members as one parameter array, the
     sorted string array and the point order beside it."""
@@ -184,32 +161,6 @@ class ForestTrie:
     def members(self) -> list[HashSpec]:
         """The K members as per-member reference hashes, level 1 first."""
         return [HashSpec(self.family, p) for p in self.params]
-
-    def _walk(self, q, i: int, counters: CostCounters | None) -> tuple[int, int, int]:
-        """(start, end, node visits) of q's level-i range by a fresh walk,
-        charged as a static scan: all i hash bits and the nodes on the path."""
-        if not 0 <= i <= self.K:
-            raise ValueError(f"level out of range [0, {self.K}]")
-        walk = CostCounters()
-        lo, hi = PrefixCursor(self, q, walk).range(i)
-        if counters is not None:
-            counters.hash_evaluations += i
-            counters.nodes_visited += walk.nodes_visited
-        return lo, hi, walk.nodes_visited
-
-    def bucket(self, q, i: int, counters: CostCounters | None = None) -> LevelCursor:
-        """All points whose length-i hash prefix matches q's (level 0 = all)."""
-        lo, hi, visits = self._walk(q, i, counters)
-        if counters is not None:
-            counters.buckets_opened += 1
-        return LevelCursor(self.order[lo:hi], visits, self.index, i)
-
-    def collision_count(self, q, i: int, counters: CostCounters | None = None) -> int:
-        """|S_{i,j}(q)|, the size of q's level-i range, without enumerating it."""
-        if i == 0:
-            return self.n
-        lo, hi, _ = self._walk(q, i, counters)
-        return hi - lo
 
     def stored_depth(self, point_id: int) -> int:
         """Depth of the leaf holding a point: one more than its longest common
@@ -236,12 +187,36 @@ class Forest:
         self.seed = seed
         self.trees = trees
 
-    def bucket(self, j: int, i: int, q, counters: CostCounters | None = None) -> LevelCursor:
-        """Bucket S_{i,j}(q); trees are 1-indexed."""
-        return self.trees[j - 1].bucket(q, i, counters)
+    def _static_range(self, j: int, i: int, q,
+                      counters: CostCounters | None) -> tuple[ForestTrie, int, int]:
+        """Tree j's range [start, end) of q's level-i prefix by a fresh walk,
+        charged as a static scan: all i hash bits and the nodes on the path."""
+        if not 1 <= j <= self.L:
+            raise ValueError(f"tree index {j} out of range [1, {self.L}]")
+        if not 0 <= i <= self.K:
+            raise ValueError(f"level {i} out of range [0, {self.K}]")
+        tree = self.trees[j - 1]
+        cursor = PrefixCursor(tree, q, CostCounters() if counters is None else counters)
+        lo, hi = cursor.range(i)
+        cursor.counters.hash_evaluations += i - cursor.charged
+        return tree, lo, hi
+
+    def bucket(self, j: int, i: int, q, counters: CostCounters | None = None) -> np.ndarray:
+        """Ids of S_{i,j}(q), the points whose length-i hash prefix in tree j
+        (1-indexed) matches q's, in trie order: by hash string, then by id.
+        Level 0 is every point."""
+        tree, lo, hi = self._static_range(j, i, q, counters)
+        if counters is not None:
+            counters.buckets_opened += 1
+        return tree.order[lo:hi]
 
     def collision_count(self, j: int, i: int, q, counters: CostCounters | None = None) -> int:
-        return self.trees[j - 1].collision_count(q, i, counters)
+        """|S_{i,j}(q)|, the size of q's level-i range, without enumerating
+        it; level 0 holds every point and costs nothing."""
+        if i == 0 and 1 <= j <= self.L:
+            return self.dataset.n
+        _, lo, hi = self._static_range(j, i, q, counters)
+        return hi - lo
 
 
 def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,

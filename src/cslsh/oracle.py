@@ -124,9 +124,8 @@ def natural_algorithm(forest: Forest, q, i: int, j: int):
     best = None
     work = 0
     for tree_j in range(1, j + 1):
-        cursor = forest.bucket(tree_j, i, q)
+        ids = forest.bucket(tree_j, i, q)
         work += i
-        ids = cursor.ids
         if len(ids) == 0:
             continue
         work += len(ids)

@@ -19,37 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confirmation import CsState
-from .core import Dataset, Metric, RngSeed, distance, order_minimum, uniform_draw
+from .core import CostCounters, Dataset, Metric, RngSeed, distance, order_minimum, uniform_draw
 from .families import HashSpec, LshFamily, pack_strings, stack_params
 from .forest import prefix_range, sort_strings
 
 
 class SequenceExhausted(RuntimeError):
     """Raised when a query needs more tables than the configured maximum."""
-
-
-@dataclass
-class QueryStats:
-    """Per-query accounting: tables touched (= samples drawn), candidate
-    distance computations, hash evaluations and empty-bucket fallbacks."""
-
-    tables_queried: int = 0
-    distance_computations: int = 0
-    hash_evaluations: int = 0
-    empty_bucket_fallbacks: int = 0
-
-    @property
-    def total_work(self) -> int:
-        return self.hash_evaluations + self.distance_computations
-
-    def as_dict(self) -> dict:
-        return {
-            "tables_queried": self.tables_queried,
-            "distance_computations": self.distance_computations,
-            "hash_evaluations": self.hash_evaluations,
-            "empty_bucket_fallbacks": self.empty_bucket_fallbacks,
-            "total_work": self.total_work,
-        }
 
 
 class HashTable:
@@ -73,7 +49,7 @@ class HashTable:
 @dataclass
 class NnResult:
     point: int
-    stats: QueryStats
+    stats: CostCounters
     confirmed: bool
     t: int
 
@@ -121,26 +97,27 @@ class TableSequence:
         return len(self._tables)
 
     def sample_once(self, q, i: int, rng: np.random.Generator,
-                    stats: QueryStats, max_candidates: int | None = None):
+                    counters: CostCounters, max_candidates: int | None = None):
         """One draw from the sampling distribution using table i.
 
         Returns (distance, point id). A nonempty bucket yields its unique
         order-minimum (inspecting at most ``max_candidates`` members, in
         stored order, when a budget is given); an empty bucket yields a
-        uniformly random point, which costs one distance computation.
+        uniformly random point, which costs one distance computation. Every
+        draw opens one bucket and costs k_cat hash evaluations.
         """
         tab = self.table(i)
         value = self.family.query_string(tab.params, q)
-        stats.hash_evaluations += self.k_cat
-        stats.tables_queried += 1
+        counters.hash_evaluations += self.k_cat
+        counters.buckets_opened += 1
         ids = tab.bucket_ids(value)
         if len(ids) == 0:
-            stats.empty_bucket_fallbacks += 1
-            stats.distance_computations += 1
+            counters.empty_bucket_fallbacks += 1
+            counters.collisions_inspected += 1
             return uniform_draw(self.dataset, q, rng)
         if max_candidates is not None and len(ids) > max_candidates:
             ids = ids[:max_candidates]
-        stats.distance_computations += len(ids)
+        counters.collisions_inspected += len(ids)
         return order_minimum(self.dataset, q, ids)
 
     def query_nn(self, seq_q, delta: float, seed: RngSeed | None = None) -> NnResult:
@@ -154,16 +131,16 @@ class TableSequence:
         t = max(1, math.ceil(math.log2(1.0 / delta)))
         q = self.dataset.check_query(seq_q)
         rng = (seed or self.seed.child("query")).generator()
-        stats = QueryStats()
+        counters = CostCounters()
         state = CsState(t)
         i = 1
         while True:
             if i > self.l_max:
                 pid = state.best[1] if state.best is not None else -1
-                return NnResult(pid, stats, False, t)
-            sample = self.sample_once(q, i, rng, stats)
+                return NnResult(pid, counters, False, t)
+            sample = self.sample_once(q, i, rng, counters)
             if state.update(sample):
-                return NnResult(state.best[1], stats, True, t)
+                return NnResult(state.best[1], counters, True, t)
             i += 1
 
     def query_nn_budgeted(self, seq_q, delta: float, L: int,
@@ -179,19 +156,19 @@ class TableSequence:
         t = max(1, math.ceil(math.log2(1.0 / delta)))
         q = self.dataset.check_query(seq_q)
         rng = (seed or self.seed.child("query")).generator()
-        stats = QueryStats()
+        counters = CostCounters()
         rounds = max(1, math.ceil(math.log2(max(2, self.dataset.n))))
         best = None
         for r in range(1, rounds + 1):
             budget = 2**r
             state = CsState(t)
             for i in range(1, L + 1):
-                sample = self.sample_once(q, i, rng, stats, max_candidates=budget)
+                sample = self.sample_once(q, i, rng, counters, max_candidates=budget)
                 if best is None or sample < best:
                     best = sample
                 if state.update(sample):
-                    return NnResult(state.best[1], stats, True, t)
-        return NnResult(best[1] if best else -1, stats, False, t)
+                    return NnResult(state.best[1], counters, True, t)
+        return NnResult(best[1] if best else -1, counters, False, t)
 
 
 def default_k_cat(dataset: Dataset, family: LshFamily, seed: RngSeed,

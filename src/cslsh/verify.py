@@ -324,7 +324,7 @@ def check_table_recall(n_queries: int = 10_000) -> list[CheckResult]:
         for k in range(n_queries):
             r = ts.query_nn(inst.query(k), delta, _seed("c6", ("q", k * 10 + t)))
             hits += int(r.point == inst.ground_truth[k])
-            tables[k] = r.stats.tables_queried
+            tables[k] = r.stats.buckets_opened
         recall = hits / n_queries
         target = 1 - delta
         thresh = target - 3 * math.sqrt(target * (1 - target) / n_queries)
@@ -379,7 +379,7 @@ def check_forest_structure() -> list[CheckResult]:
             for j in range(1, L + 1):
                 members = forest.trees[j - 1].members
                 for i in range(0, K + 1):
-                    got = sorted(forest.bucket(j, i, q).ids.tolist())
+                    got = sorted(forest.bucket(j, i, q).tolist())
                     want = sorted(naive_prefix_filter(members, ds, q, i).tolist())
                     cnt = forest.collision_count(j, i, q)
                     checked += 1
@@ -709,8 +709,8 @@ def check_determinism_formats(tmpdir: str) -> list[CheckResult]:
         q = Dataset.from_bits(rng.integers(0, 2, size=(1, 16), dtype=np.uint8)).point(0)
         for j in range(1, 5):
             for i in range(0, 9):
-                a = forest.bucket(j, i, q).ids.tolist()
-                b = loaded.bucket(j, i, q).ids.tolist()
+                a = forest.bucket(j, i, q).tolist()
+                b = loaded.bucket(j, i, q).tolist()
                 same &= a == b
     bad = bytearray(blob)
     bad[8] = 99  # bump the version field

@@ -295,3 +295,31 @@ def test_query_computes_each_distance_once(monkeypatch, kind, dim, K):
         ids = np.concatenate(computed)
         assert len(np.unique(ids)) == len(ids) <= ds.n
         assert sum(inspected) > len(ids)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t", 0), ("c_forests", -3.0), ("c_forests", 0.0), ("c_forests", math.inf),
+    ("c_forests", math.nan), ("collision_cap", 0), ("terminate_quorum", 0.0),
+    ("terminate_quorum", 1.5), ("terminate_quorum", math.nan), ("advance_quorum", 0.0),
+    ("advance_quorum", math.nan),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError):
+        AdaptiveConfig(**{field: value})
+
+
+def test_empty_bucket_fallbacks_count_uniform_draws(monkeypatch):
+    # q differs from every point in every coordinate, so each bucket at a
+    # level above 0 is empty and the level pair falls back to uniform draws
+    ds = Dataset.from_bits(np.zeros((20, 16), dtype=np.uint8))
+    q = _pack_bits(np.ones((1, 16), dtype=np.uint8))[0]
+    ens = build(ds, tag="fallbacks")
+    draws = []
+
+    def counting_draw(dataset, q, rng, memo):
+        draws.append(1)
+        return uniform_draw(dataset, q, rng, memo)
+
+    monkeypatch.setattr(adaptive, "uniform_draw", counting_draw)
+    res = adaptive_nearest_neighbor(ens, q, SEED.child("fallbacks-q"))
+    assert res.counters.empty_bucket_fallbacks == len(draws) > 0

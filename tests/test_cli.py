@@ -75,6 +75,23 @@ def test_file_instance_header_describes_loaded_instance(tmp_path):
     assert len(rows) == 1 + 7 and summary["n"] == 60
 
 
+def test_generated_instance_header_names_its_metric(tmp_path, capsys):
+    args = {"instance": "gaussian-angular", "n": 32, "dim": 8, "queries": 2,
+            "algorithm": "brute"}
+    rows, _ = run_query_experiment(dict(args))
+    assert json.loads(rows[0])["config"]["metric"] == "angular"
+    # a configured metric that contradicts the generated kind is refused
+    with pytest.raises(ValueError):
+        run_query_experiment(dict(args, metric="euclidean"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("metric = hamming\n")
+    with pytest.raises(ValueError):
+        run_query_experiment(dict(args), str(cfg))
+    assert main(["query", "--instance", "gaussian-angular", "--metric", "hamming",
+                 "-n", "32", "--dim", "8", "--queries", "2", "--algorithm", "brute"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_build_rejects_zero_levels(tmp_path):
     rc = main([
         "build", "--instance", "uniform-hamming", "-n", "16", "--dim", "8",
@@ -111,10 +128,11 @@ def test_reports_are_deterministic():
     assert "wall_ms" in json.loads(rows3[1])
 
 
-def test_report_work_equals_module_counters():
+@pytest.mark.parametrize("algorithm", ["forest-adaptive", "table-cs", "budgeted-cs"])
+def test_report_work_equals_module_counters(algorithm):
     rows, _ = run_query_experiment({
         "instance": "uniform-hamming", "n": 64, "dim": 16, "queries": 6,
-        "instance_seed": 2, "algorithm": "forest-adaptive", "k": 8, "l": 64,
+        "instance_seed": 2, "algorithm": algorithm, "k": 8, "l": 64,
         "seed": 4,
     })
     for line in rows[1:]:

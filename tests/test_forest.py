@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -30,7 +31,7 @@ def test_single_point_lives_at_the_root_and_is_always_found():
     for tree in forest.trees:
         assert tree.stored_depth(0) == 0  # the empty prefix is already unique
         for i in range(5):
-            assert forest.bucket(tree.index + 1, i, ds.point(0)).ids.tolist() == [0]
+            assert forest.bucket(tree.index + 1, i, ds.point(0)).tolist() == [0]
 
 
 def test_identical_points_share_a_depth_k_leaf():
@@ -39,7 +40,7 @@ def test_identical_points_share_a_depth_k_leaf():
     for tree in forest.trees:
         for pid in range(6):
             assert tree.stored_depth(pid) == 3
-        assert sorted(forest.bucket(tree.index + 1, 3, ds.point(0)).ids.tolist()) == list(range(6))
+        assert sorted(forest.bucket(tree.index + 1, 3, ds.point(0)).tolist()) == list(range(6))
 
 
 def test_stored_depth_matches_naive_shortest_unique_prefix():
@@ -62,7 +63,7 @@ def test_bucket_equals_naive_filter(n, dim, K, seed):
     for j in (1, 2):
         members = forest.trees[j - 1].members
         for i in range(K + 1):
-            got = sorted(forest.bucket(j, i, q).ids.tolist())
+            got = sorted(forest.bucket(j, i, q).tolist())
             assert got == sorted(naive_prefix_filter(members, ds, q, i).tolist())
             assert forest.collision_count(j, i, q) == len(got)
 
@@ -103,8 +104,7 @@ def test_cost_contract_node_visits():
     q = _pack_bits(rng.integers(0, 2, size=(1, 12), dtype=np.uint8))[0]
     for i in range(11):
         counters = CostCounters()
-        cursor = forest.bucket(1, i, q, counters)
-        assert cursor.node_visits <= i + 1
+        forest.bucket(1, i, q, counters)
         assert counters.nodes_visited <= i + 1
         assert counters.hash_evaluations <= i
 
@@ -114,7 +114,7 @@ def test_enumeration_order_is_trie_then_id():
     bits = np.vstack([np.zeros((3, 4), dtype=np.uint8), np.ones((2, 4), dtype=np.uint8)])
     ds = Dataset.from_bits(bits)
     forest = build_forest(ds, BitSampling(4), K=4, L=1, seed=SEED.child("ord"))
-    ids = forest.bucket(1, 0, ds.point(0)).ids
+    ids = forest.bucket(1, 0, ds.point(0))
     leaves = [forest.trees[0].stored_depth(p) for p in range(5)]
     assert leaves == [4, 4, 4, 4, 4]
     # the two duplicate groups each appear contiguously, ids ascending inside
@@ -163,8 +163,8 @@ def test_serialization_round_trip_and_rejection():
     for j in (1, 2, 3):
         for i in range(9):
             assert (
-                forest.bucket(j, i, q).ids.tolist()
-                == loaded.bucket(j, i, q).ids.tolist()
+                forest.bucket(j, i, q).tolist()
+                == loaded.bucket(j, i, q).tolist()
             )
     with pytest.raises(FormatError):
         forest_from_bytes(b"JUNKJUNK" + blob[8:], ds)
@@ -188,8 +188,8 @@ def test_serialization_srp_round_trip():
     for j in (1, 2):
         for i in range(7):
             assert (
-                forest.bucket(j, i, q).ids.tolist()
-                == loaded.bucket(j, i, q).ids.tolist()
+                forest.bucket(j, i, q).tolist()
+                == loaded.bucket(j, i, q).tolist()
             )
 
 
@@ -202,6 +202,17 @@ def test_build_validation():
     forest = build_forest(ds, BitSampling(4), K=2, L=1, seed=SEED)
     with pytest.raises(ValueError):
         forest.bucket(1, 3, ds.point(0))
+
+
+@pytest.mark.parametrize("j, i", [(0, 2), (-1, 2), (4, 2), (1, -1), (1, 9)])
+@pytest.mark.parametrize("call", ["bucket", "collision_count"])
+def test_tree_and_level_out_of_range(call, j, i):
+    # trees are 1-indexed: j = 0 or -1 must not wrap round to the last trees
+    rng = SEED.child("index").generator()
+    ds = random_instance(rng, 40, 16)
+    forest = build_forest(ds, BitSampling(16), K=8, L=3, seed=SEED.child("index-f"))
+    with pytest.raises(ValueError):
+        getattr(forest, call)(j, i, ds.point(0))
 
 
 def _payload_cases():
@@ -245,8 +256,16 @@ def _payload_cases():
     eblob = ensemble_to_bytes(build_ensemble(small, BitSampling(8), 4, 1, SEED.child("e"),
                                              l_prime=1))
     forest1 = 12 + struct.calcsize("<IIIdIddQI") + 8  # first forest payload
+    config_at = {name: 12 + struct.calcsize("<" + fmt) for name, fmt in (
+        ("c_forests", "III"), ("t", "IIId"), ("terminate_quorum", "IIIdI"),
+        ("advance_quorum", "IIIdId"), ("collision_cap", "IIIdIddQ"))}
     ensemble_cases = {
         "ensemble-v1-short-header": patched(eblob, 8, "<I", 1)[:12],
+        "ensemble-c-forests-negative": patched(eblob, config_at["c_forests"], "<d", -3.0),
+        "ensemble-t-zero": patched(eblob, config_at["t"], "<I", 0),
+        "ensemble-terminate-quorum-zero": patched(eblob, config_at["terminate_quorum"], "<d", 0.0),
+        "ensemble-advance-quorum-nan": patched(eblob, config_at["advance_quorum"], "<d", math.nan),
+        "ensemble-collision-cap-zero": patched(eblob, config_at["collision_cap"], "<I", 0),
         "ensemble-truncated-header": eblob[:30],
         "ensemble-truncated-forest": eblob[:-5],
         "ensemble-no-forests": patched(eblob, 12, "<I", 0),

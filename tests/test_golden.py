@@ -63,7 +63,7 @@ def _forest_reports(seed: int) -> list:
         per_level = []
         for i in range(forest.K + 1):
             bucket_counters, count_counters = CostCounters(), CostCounters()
-            sizes = [len(forest.bucket(j, i, q, bucket_counters).ids)
+            sizes = [len(forest.bucket(j, i, q, bucket_counters))
                      for j in range(1, forest.L + 1)]
             counts = [forest.collision_count(j, i, q, count_counters)
                       for j in range(1, forest.L + 1)]

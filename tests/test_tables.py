@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cslsh.core import Dataset, RngSeed, _pack_bits
+from cslsh.core import CostCounters, Dataset, RngSeed, _pack_bits
 from cslsh.families import BitSampling
 from cslsh.oracle import enumerate_qq_bitsampling
-from cslsh.tables import QueryStats, SequenceExhausted, TableSequence, default_k_cat
+from cslsh.tables import SequenceExhausted, TableSequence, default_k_cat
 from cslsh.data import InstanceSpec, generate
 
 SEED = RngSeed(808)
@@ -19,13 +19,13 @@ def make_seq(ds, k_cat=2, l_max=512, tag="t"):
 def test_single_point_everywhere():
     ds = Dataset.from_bits(np.array([[1, 0, 1, 1]], dtype=np.uint8))
     seq = make_seq(ds)
-    stats = QueryStats()
+    stats = CostCounters()
     rng = SEED.child("r").generator()
     for i in range(1, 6):
         d, pid = seq.sample_once(ds.point(0), i, rng, stats)
         assert pid == 0 and d == 0
-    assert stats.tables_queried == 5
-    assert stats.distance_computations >= stats.tables_queried
+    assert stats.buckets_opened == 5
+    assert stats.collisions_inspected >= stats.buckets_opened
 
 
 def test_bucket_partition_per_table():
@@ -71,7 +71,7 @@ def test_empty_bucket_fallback_is_uniform():
     ds = Dataset.from_bits(np.zeros((5, 8), dtype=np.uint8))
     q = _pack_bits(np.ones((1, 8), dtype=np.uint8))[0]
     seq = make_seq(ds, k_cat=1, l_max=200_000, tag="fb")
-    stats = QueryStats()
+    stats = CostCounters()
     rng = SEED.child("fb-r").generator()
     draws = 20_000
     counts = np.zeros(5)
@@ -96,7 +96,7 @@ def test_sampling_dominance_empirical_and_exact():
     assert all(scores[nn] >= scores[x] for x in range(12))
     # live sampler agrees with the enumeration within 3 sigma
     seq = TableSequence(ds, BitSampling(8), k_cat, 20_000, SEED.child("dom-seq"))
-    stats = QueryStats()
+    stats = CostCounters()
     draws = 20_000
     counts = np.zeros(12)
     for i in range(1, draws + 1):
@@ -114,7 +114,7 @@ def test_query_nn_duplicate_terminates_in_t_plus_one():
     seq = make_seq(ds, k_cat=3, tag="dup")
     res = seq.query_nn(ds.point(0), delta=0.25, seed=SEED.child("dup-q"))
     assert res.point == 0 and res.confirmed
-    assert res.stats.tables_queried == res.t + 1
+    assert res.stats.buckets_opened == res.t + 1
 
 
 def test_query_nn_planted_recall_and_work():
@@ -131,7 +131,7 @@ def test_query_nn_planted_recall_and_work():
     for k in range(inst.queries.n):
         r = seq.query_nn(inst.query(k), 1 / 8, SEED.child("pl-q", k))
         hits += int(r.point == inst.ground_truth[k])
-        tables[k] = r.stats.tables_queried
+        tables[k] = r.stats.buckets_opened
     recall = hits / inst.queries.n
     assert recall >= (1 - 2**-t) - 3 * math.sqrt(2**-t * (1 - 2**-t) / inst.queries.n)
     bound = (t + 1) / p1
@@ -146,10 +146,10 @@ def test_query_nn_exhaustion_flag():
     seq = make_seq(ds, k_cat=2, l_max=2, tag="exh")
     res = seq.query_nn(q, delta=1e-6, seed=SEED.child("exh-q"))  # t = 20
     assert not res.confirmed
-    assert res.stats.tables_queried == 2
+    assert res.stats.buckets_opened == 2
     assert 0 <= res.point < 64
     with pytest.raises(SequenceExhausted):
-        seq.sample_once(q, 3, SEED.child("x").generator(), QueryStats())
+        seq.sample_once(q, 3, SEED.child("x").generator(), CostCounters())
 
 
 def test_budgeted_immediate_when_p1_is_one():
@@ -158,7 +158,7 @@ def test_budgeted_immediate_when_p1_is_one():
     seq = make_seq(ds, k_cat=2, tag="bud")
     res = seq.query_nn_budgeted(ds.point(0), delta=0.25, L=8, seed=SEED.child("bud-q"))
     assert res.confirmed and res.point == 0
-    assert res.stats.tables_queried == res.t + 1  # first round suffices
+    assert res.stats.buckets_opened == res.t + 1  # first round suffices
 
 
 def test_budgeted_recall_on_planted():
