@@ -191,7 +191,7 @@ def choose_level(state: _QueryState, j: int) -> int:
     collisions in at least half of the forests; K when none qualifies.
 
     The scan proceeds top-down one level at a time across all forests and
-    stops at the first level where half qualify, so no cursor descends past
+    stops at the first level where half qualify, so no cursor is asked past
     the answer: O(i * j) node visits and hash evaluations per forest.
     Qualification is monotone in i (counts fall, budgets grow), so the
     level-synchronous scan returns the same level a per-forest scan would.

@@ -102,26 +102,34 @@ def load_dataset(path: str, metric: Metric) -> Dataset:
     raise FormatError(f"unrecognized dataset extension: {path}")
 
 
+def _csv_rows(path: str) -> list[list[str]]:
+    """The rows of a CSV file; a line the csv module rejects (a NUL byte
+    before Python 3.11, an oversized field) is a FormatError."""
+    with open(path, newline="") as fh:
+        try:
+            return list(_csv.reader(fh))
+        except _csv.Error as exc:
+            raise FormatError(f"malformed CSV: {exc}") from None
+
+
 def load_csv(path: str, metric: Metric, header: bool = False) -> Dataset:
     """Numeric CSV, one point per row; row order becomes point-id order."""
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        for rownum, row in enumerate(reader):
-            if header and rownum == 0:
-                continue
-            if not row:
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise FormatError(f"non-numeric cell at row {rownum}") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise FormatError(f"ragged row at row {rownum}")
-            rows.append(values)
+    for rownum, row in enumerate(_csv_rows(path)):
+        if header and rownum == 0:
+            continue
+        if not row:
+            continue
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise FormatError(f"non-numeric cell at row {rownum}") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise FormatError(f"ragged row at row {rownum}")
+        rows.append(values)
     if not rows:
         raise FormatError("empty file")
     return dataset_from_array(np.array(rows), metric)
@@ -315,23 +323,22 @@ def _load_truth(path: str, n_queries: int, n: int) -> np.ndarray:
     """Ground-truth CSV: one ``query index, point id`` row per query, each
     query index in [0, n_queries) exactly once, each id in [0, n)."""
     truth = np.full(n_queries, -1, dtype=np.int64)
-    with open(path, newline="") as fh:
-        for rownum, row in enumerate(_csv.reader(fh)):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"truth row {rownum} must hold two cells")
-            try:
-                k, pid = int(row[0]), int(row[1])
-            except ValueError:
-                raise FormatError(f"non-numeric cell at truth row {rownum}") from None
-            if not 0 <= k < n_queries:
-                raise FormatError(f"query index {k} out of range at truth row {rownum}")
-            if truth[k] >= 0:
-                raise FormatError(f"duplicate query index {k} at truth row {rownum}")
-            if not 0 <= pid < n:
-                raise FormatError(f"truth id {pid} out of range at truth row {rownum}")
-            truth[k] = pid
+    for rownum, row in enumerate(_csv_rows(path)):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise FormatError(f"truth row {rownum} must hold two cells")
+        try:
+            k, pid = int(row[0]), int(row[1])
+        except ValueError:
+            raise FormatError(f"non-numeric cell at truth row {rownum}") from None
+        if not 0 <= k < n_queries:
+            raise FormatError(f"query index {k} out of range at truth row {rownum}")
+        if truth[k] >= 0:
+            raise FormatError(f"duplicate query index {k} at truth row {rownum}")
+        if not 0 <= pid < n:
+            raise FormatError(f"truth id {pid} out of range at truth row {rownum}")
+        truth[k] = pid
     missing = np.flatnonzero(truth < 0)
     if missing.size:
         raise FormatError(f"no truth row for query {int(missing[0])}")

@@ -7,13 +7,13 @@ length-i prefix are one contiguous range [start, end) of the sorted order, so
 a bucket is a slice of the order and its collision count a subtraction.
 
 Each tree stores its K members once, as one parameter array. ``PrefixCursor``
-hashes q against that array once, to its K-bit string, then walks q's path
-one level at a time, narrowing the parent's range by one binary search. It
-stops where the trie would have a leaf -- a range holding a single point, or
+hashes q against that array once, to its K-bit string, whose two longest
+common prefixes l1 >= l2 with the tree's strings fix the whole walk down q's
+path in closed form. The trie would stop at a leaf -- a single point, or
 depth K -- so a point's pointer lives at the shortest prefix of its string
-that is unique in the tree (depth K when none is), exact duplicates are
-first-class, and a bucket below a single-point leaf is found by comparing
-that point's remaining bits with q's.
+that is unique in the tree (one more than its second-longest common prefix,
+capped at K), exact duplicates are first-class, and the cost of the walk to
+any level follows from l1 and l2 alone.
 """
 
 from __future__ import annotations
@@ -34,24 +34,28 @@ from .families import (
 )
 
 
-def prefix_range(strings, prefix: int, width: int, K: int,
-                 lo: int = 0, hi: int | None = None) -> tuple[int, int]:
+def prefix_range(strings, prefix: int, width: int, K: int) -> tuple[int, int]:
     """The range [start, end) of the sorted K-bit ``strings`` (a memoryview
-    or list of ints) whose top ``width`` bits equal ``prefix``, searched
-    inside the nonempty range [lo, hi).
-
-    A bound that the range's first or last string already settles costs one
-    comparison instead of a binary search, so narrowing a parent range to a
-    child, which keeps one of its ends, costs one search.
-    """
-    if hi is None:
-        hi = len(strings)
+    or list of ints) whose top ``width`` bits equal ``prefix``."""
     shift = K - width
-    first = prefix << shift
-    last = first + (1 << shift)
-    start = lo if strings[lo] >= first else bisect_left(strings, first, lo, hi)
-    end = hi if strings[hi - 1] < last else bisect_left(strings, last, start, hi)
-    return start, end
+    start = bisect_left(strings, prefix << shift)
+    return start, bisect_left(strings, (prefix + 1) << shift, start)
+
+
+def common_prefixes(strings, s: int, K: int) -> tuple[int, int]:
+    """(l1, l2), the longest and second-longest common prefixes of the K-bit
+    string ``s`` with the nonempty sorted K-bit ``strings`` (l2 = -1 when
+    there is one string). The common prefix grows up to s's insertion point
+    and shrinks from it, so both lie among the two strings on either side."""
+    pos = bisect_left(strings, s)
+    l1 = l2 = -1
+    for x in strings[max(pos - 2, 0) : pos + 2]:
+        lcp = K - (x ^ s).bit_length()
+        if lcp > l1:
+            l1, l2 = lcp, l1
+        elif lcp > l2:
+            l2 = lcp
+    return l1, l2
 
 
 def sort_strings(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,76 +65,50 @@ def sort_strings(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PrefixCursor:
-    """Lazy walk down one tree along q's hash prefix.
+    """q's path down one tree, its cost in closed form.
 
     q's K-bit string ``qs`` is computed once, when the cursor is made, and
-    its length-d prefix is ``qs >> (K - d)``. ``ranges[d]`` is q's length-d
-    prefix range, extended on demand. Hash evaluations are charged lazily, as
-    the cost model counts them: ``charged`` is the deepest level whose bit a
-    walk step or a leaf check has consumed, so a walk to level i costs at
-    most i hash evaluations and i + 1 node visits (the root plus one per
-    non-empty step), however often the tree is revisited at other levels.
-    The walk stops at a range of one point, where ``range`` compares that
-    point's remaining bits with q's instead, or at an empty range.
+    ``range(i)`` is q's level-i prefix range, memoized per level. The walk
+    stops at a single point (whose bits are then compared with q's down to
+    the first mismatch) or at an empty range, so with l1 >= l2 the two
+    longest common prefixes of qs with the tree's strings (``lcps``), a walk
+    to level r costs min(r, l1 + 1) hash evaluations and
+    1 + min(r, l2 + 1, l1) node visits. Asking past ``reach``, the deepest
+    level asked so far, charges the difference.
     """
 
-    __slots__ = ("tree", "counters", "strings", "qs", "charged", "ranges", "stopped")
+    __slots__ = ("tree", "counters", "strings", "qs", "lcps", "reach", "ranges")
 
     def __init__(self, tree: "ForestTrie", q, counters: CostCounters):
         self.tree = tree
         self.counters = counters
         self.strings = memoryview(tree.sorted_strings)
         self.qs = tree.family.query_string(tree.params, q)
-        self.charged = 0
-        self.ranges = [(0, tree.n)]
-        self.stopped = False
+        self.lcps = None
+        self.reach = 0
+        self.ranges = {}
         counters.nodes_visited += 1
-
-    def _extend(self, i: int) -> None:
-        if self.stopped:
-            return
-        ranges = self.ranges
-        d = len(ranges) - 1
-        strings = self.strings
-        K = self.tree.K
-        qs = self.qs
-        counters = self.counters
-        lo, hi = ranges[d]
-        while d < i:
-            if hi - lo == 1:
-                self.stopped = True
-                return
-            d += 1
-            if d > self.charged:
-                counters.hash_evaluations += 1
-                self.charged = d
-            lo, hi = prefix_range(strings, qs >> (K - d), d, K, lo, hi)
-            ranges.append((lo, hi))
-            if lo == hi:
-                self.stopped = True
-                return
-            counters.nodes_visited += 1
 
     def range(self, i: int) -> tuple[int, int]:
         """q's level-i range [start, end) in the tree's sorted order."""
-        ranges = self.ranges
-        if i >= len(ranges):
-            self._extend(i)
-        if i < len(ranges):
-            return ranges[i]
-        lo, hi = ranges[-1]
-        if hi - lo == 1:
-            # The point shares q's prefix down to the walk's depth, so its
-            # string differs from q's, if at all, at levels below it; the
-            # check consumes bits down to the first mismatch, or to level i.
-            diff = (self.strings[lo] ^ self.qs) >> (self.tree.K - i)
-            depth = i - diff.bit_length() + 1 if diff else i
-            if depth > self.charged:
-                self.counters.hash_evaluations += depth - self.charged
-                self.charged = depth
-            if diff:
-                return lo, lo
-        return lo, hi
+        found = self.ranges.get(i)
+        if found is None:
+            K = self.tree.K
+            found = self.ranges[i] = prefix_range(self.strings, self.qs >> (K - i), i, K)
+        if i > self.reach:
+            r, self.reach = self.reach, i
+            if found[1] - found[0] >= 2:
+                # i <= l2: every step lands on a node, and l1, l2 are not needed
+                self.counters.hash_evaluations += i - r
+                self.counters.nodes_visited += i - r
+                return found
+            if self.lcps is None:
+                self.lcps = common_prefixes(self.strings, self.qs, self.tree.K)
+            l1, l2 = self.lcps
+            cap = min(l2 + 1, l1)
+            self.counters.hash_evaluations += min(i, l1 + 1) - min(r, l1 + 1)
+            self.counters.nodes_visited += min(i, cap) - min(r, cap)
+        return found
 
     def count(self, i: int) -> int:
         lo, hi = self.range(i)
@@ -163,16 +141,12 @@ class ForestTrie:
         return [HashSpec(self.family, p) for p in self.params]
 
     def stored_depth(self, point_id: int) -> int:
-        """Depth of the leaf holding a point: one more than its longest common
-        prefix with a sorted neighbour (its shortest unique prefix), capped at
-        K; 0 when the tree holds a single point."""
-        pos = int(np.flatnonzero(self.order == point_id)[0])
-        s = int(self.sorted_strings[pos])
-        lcp = -1
-        for other in (pos - 1, pos + 1):
-            if 0 <= other < self.n:
-                lcp = max(lcp, self.K - (s ^ int(self.sorted_strings[other])).bit_length())
-        return min(self.K, lcp + 1)
+        """Depth of the leaf holding a point, its shortest unique prefix: one
+        more than its string's second-longest common prefix over the tree
+        (its own is the longest), capped at K; 0 in a one-point tree."""
+        strings = memoryview(self.sorted_strings)
+        s = strings[int(np.flatnonzero(self.order == point_id)[0])]
+        return min(self.K, common_prefixes(strings, s, self.K)[1] + 1)
 
 
 class Forest:
@@ -190,15 +164,20 @@ class Forest:
     def _static_range(self, j: int, i: int, q,
                       counters: CostCounters | None) -> tuple[ForestTrie, int, int]:
         """Tree j's range [start, end) of q's level-i prefix by a fresh walk,
-        charged as a static scan: all i hash bits and the nodes on the path."""
+        at the cost of a static scan: all i hash bits and the nodes on the path.
+        Level 0 is the whole tree and costs nothing."""
         if not 1 <= j <= self.L:
             raise ValueError(f"tree index {j} out of range [1, {self.L}]")
         if not 0 <= i <= self.K:
             raise ValueError(f"level {i} out of range [0, {self.K}]")
+        q = self.dataset.check_query(q)
         tree = self.trees[j - 1]
+        if i == 0:
+            return tree, 0, tree.n
         cursor = PrefixCursor(tree, q, CostCounters() if counters is None else counters)
         lo, hi = cursor.range(i)
-        cursor.counters.hash_evaluations += i - cursor.charged
+        if lo == hi:  # the walk ends at level l1 + 1
+            cursor.counters.hash_evaluations += i - cursor.lcps[0] - 1
         return tree, lo, hi
 
     def bucket(self, j: int, i: int, q, counters: CostCounters | None = None) -> np.ndarray:
@@ -211,10 +190,7 @@ class Forest:
         return tree.order[lo:hi]
 
     def collision_count(self, j: int, i: int, q, counters: CostCounters | None = None) -> int:
-        """|S_{i,j}(q)|, the size of q's level-i range, without enumerating
-        it; level 0 holds every point and costs nothing."""
-        if i == 0 and 1 <= j <= self.L:
-            return self.dataset.n
+        """|S_{i,j}(q)|, the size of q's level-i range, without enumerating it."""
         _, lo, hi = self._static_range(j, i, q, counters)
         return hi - lo
 
@@ -344,7 +320,7 @@ def forest_to_bytes(forest: Forest) -> bytes:
 
 def _read_tree(reader: PayloadReader, family: LshFamily, j: int, K: int, n: int) -> ForestTrie:
     """One tree's members, order and strings, checked for the invariants the
-    prefix-range walk relies on."""
+    prefix ranges rely on."""
     dim = family.dim
     if isinstance(family, BitSampling):
         params = reader.array("<u4", K).astype(np.int64)
@@ -352,6 +328,8 @@ def _read_tree(reader: PayloadReader, family: LshFamily, j: int, K: int, n: int)
             raise FormatError("bit-sampling coordinate out of range")
     else:
         params = reader.array("<f8", K * dim).reshape(K, dim)
+        if not np.isfinite(params).all():
+            raise FormatError("sign-projection directions are not finite")
     order = reader.array("<i8", n)
     strings = reader.array("<u8", n)
     if ((order < 0) | (order >= n)).any() or np.bincount(order, minlength=n).max() != 1:

@@ -254,6 +254,7 @@ def test_report_is_self_contained():
     pytest.param("0,1\n1,2\n2,40\n", id="id-past-last-point"),
     pytest.param("0,1\n1,2\n2,-1\n", id="negative-id"),
     pytest.param("0,1\n1,2\n2,3,4\n", id="extra-cell"),
+    pytest.param("0,1\n1,2\n2," + "3" * 200_000 + "\n", id="field-past-csv-limit"),
 ])
 def test_malformed_truth_csv_is_a_format_error(tmp_path, truth, capsys):
     prefix = str(tmp_path / "inst")

@@ -92,6 +92,10 @@ def test_csv_errors(tmp_path):
         load_csv(str(alpha), Metric.HAMMING)
     with pytest.raises(FormatError):
         load_csv(str(tmp_path / "ragged.csv"), Metric.EUCLIDEAN)  # still ragged
+    huge = tmp_path / "huge.csv"
+    huge.write_text("0," + "1" * 200_000 + "\n")  # past the csv module's field limit
+    with pytest.raises(FormatError, match="malformed CSV"):
+        load_csv(str(huge), Metric.HAMMING)
 
 
 def test_csv_and_fvecs_agree(tmp_path):

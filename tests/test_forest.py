@@ -10,6 +10,7 @@ from cslsh.core import CostCounters, Dataset, Metric, RngSeed, _pack_bits
 from cslsh.families import BitSampling, SignRandomProjection
 from cslsh.forest import (
     FormatError,
+    PrefixCursor,
     build_forest,
     expected_collisions,
     forest_from_bytes,
@@ -215,6 +216,87 @@ def test_tree_and_level_out_of_range(call, j, i):
         getattr(forest, call)(j, i, ds.point(0))
 
 
+@pytest.mark.parametrize("i", [0, 4])
+@pytest.mark.parametrize("q", [
+    np.array([1.5]),                       # a float word
+    np.array([1 << 20], dtype=np.uint64),  # a bit beyond dim 16
+    np.zeros(2, dtype=np.uint64),          # two words for one
+], ids=["float-word", "bit-beyond-dim", "wrong-width"])
+@pytest.mark.parametrize("call", ["bucket", "collision_count"])
+def test_static_calls_validate_the_query(call, q, i):
+    rng = SEED.child("index").generator()
+    ds = random_instance(rng, 40, 16)
+    forest = build_forest(ds, BitSampling(16), K=8, L=3, seed=SEED.child("index-f"))
+    with pytest.raises(ValueError):
+        getattr(forest, call)(1, i, q)
+
+
+def test_level_zero_is_the_whole_tree_and_walks_nothing():
+    rng = SEED.child("zero").generator()
+    ds = random_instance(rng, 40, 16)
+    forest = build_forest(ds, BitSampling(16), K=8, L=3, seed=SEED.child("zero-f"))
+    counters = CostCounters()
+    for j in (1, 2, 3):
+        tree = forest.trees[j - 1]
+        assert forest.bucket(j, 0, ds.point(5), counters).tolist() == tree.order.tolist()
+        assert forest.collision_count(j, 0, ds.point(5), counters) == 40
+    assert counters == CostCounters(buckets_opened=3)
+
+
+def _reference_walk(strings: list[int], qs: int, K: int, i: int) -> tuple[list[int], int, int]:
+    """(sorted positions of q's level-i bucket, hash evaluations, node visits)
+    of a walk from the root to level i, derived from the definition: c[d] is
+    the number of strings sharing q's length-d prefix, counted by a scan.
+    Bit d is read when the level d-1 range holds a point: to step from an
+    inner node, or to compare a single point's bit with q's. The level-d
+    node is visited when it holds a point and its parent at least two."""
+    c = [sum(1 for x in strings if x >> (K - d) == qs >> (K - d)) for d in range(K + 1)]
+    bucket = [k for k, x in enumerate(strings) if x >> (K - i) == qs >> (K - i)]
+    hashes = sum(1 for d in range(1, i + 1) if c[d - 1] >= 1)
+    nodes = 1 + sum(1 for d in range(1, i + 1) if c[d - 1] >= 2 and c[d] >= 1)
+    return bucket, hashes, nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cursor_charges_match_the_reference_walk(data):
+    dim = data.draw(st.integers(64, 80), label="dim")
+    K = data.draw(st.sampled_from([1, 2, 5, 16, 63, 64]) | st.integers(1, 64), label="K")
+    n = data.draw(st.integers(1, 24), label="n")
+    pool = data.draw(st.integers(1, n), label="distinct rows")  # fewer means duplicates
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(pool, dim), dtype=np.uint8)
+    bits = rows[rng.integers(0, pool, size=n)]
+    ds = Dataset.from_bits(bits)
+    forest = build_forest(ds, BitSampling(dim), K=K, L=1, seed=RngSeed(seed).child("ref"))
+    tree = forest.trees[0]
+    if data.draw(st.booleans(), label="near a point"):
+        qbits = bits[int(rng.integers(n))].copy()
+        qbits[rng.integers(0, dim, size=int(rng.integers(0, 4)))] ^= 1
+    else:
+        qbits = rng.integers(0, 2, size=dim, dtype=np.uint8)
+    q = _pack_bits(qbits[None, :])[0]
+    strings = [int(x) for x in tree.sorted_strings]
+    qs = tree.family.query_string(tree.params, q)
+    counters = CostCounters()
+    cursor = PrefixCursor(tree, q, counters)
+    reach = 0
+    levels = data.draw(st.lists(st.integers(0, K), min_size=1, max_size=10), label="levels")
+    for i in levels:
+        reach = max(reach, i)
+        positions, _, walk_nodes = _reference_walk(strings, qs, K, i)
+        want = tree.order[positions].tolist()
+        assert cursor.bucket(i).tolist() == want
+        _, hashes, nodes = _reference_walk(strings, qs, K, reach)
+        assert (counters.hash_evaluations, counters.nodes_visited) == (hashes, nodes)
+        # a static scan charges all i bits, and at level 0 walks nothing
+        static = CostCounters()
+        assert forest.bucket(1, i, q, static).tolist() == want
+        assert forest.collision_count(1, i, q) == len(want)
+        assert (static.hash_evaluations, static.nodes_visited) == ((i, walk_nodes) if i else (0, 0))
+
+
 def _payload_cases():
     """(name, loader, dataset, malformed payload) for forests and ensembles."""
     from cslsh.adaptive import build_ensemble, ensemble_from_bytes, ensemble_to_bytes
@@ -273,7 +355,17 @@ def _payload_cases():
         "ensemble-inner-forest-v1": patched(eblob, forest1 + 8, "<I", 1),
         "ensemble-trailing-bytes": eblob + b"\0",
     }
+    srng = SEED.child("malformed-srp").generator()
+    angular = Dataset.from_reals(srng.standard_normal((10, 4)), Metric.ANGULAR)
+    sblob = forest_to_bytes(build_forest(angular, SignRandomProjection(4), K=3, L=2,
+                                         seed=SEED.child("s")))
+    directions0 = len(sblob) - 2 * (8 * 3 * 4 + 16 * 10)
+    srp_cases = {
+        "forest-nan-direction": patched(sblob, directions0 + 8, "<d", math.nan),
+        "forest-infinite-direction": patched(sblob, directions0, "<d", -math.inf),
+    }
     return ([(name, forest_from_bytes, ds, p) for name, p in forest_cases.items()]
+            + [(name, forest_from_bytes, angular, p) for name, p in srp_cases.items()]
             + [(name, ensemble_from_bytes, small, p) for name, p in ensemble_cases.items()])
 
 
