@@ -19,6 +19,7 @@ distance.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ from .forest import (
     PayloadReader,
     PrefixCursor,
     build_forest,
-    forest_from_bytes,
     forest_to_bytes,
+    read_forest_payload,
 )
 
 
@@ -50,12 +51,12 @@ class AdaptiveConfig:
     advance_quorum: float = 0.5
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
+        for name in ("t", "collision_cap"):  # u4 fields of the ensemble format
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and 1 <= value < 2**32):
+                raise ValueError(f"{name} must be an integer in [1, 2**32)")
         if not (math.isfinite(self.c_forests) and self.c_forests > 0):
             raise ValueError("c_forests must be finite and positive")
-        if self.collision_cap < 1:
-            raise ValueError("collision_cap must be >= 1")
         for name in ("terminate_quorum", "advance_quorum"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
@@ -72,7 +73,8 @@ def trees_per_forest(L: int, R: int) -> int:
 
 
 class ForestEnsemble:
-    """R independent forests sharing one dataset, family and depth K."""
+    """R independent forests sharing one dataset, family and depth K; R is
+    ``forests_for(n, config)``, or the number of ``forests`` given."""
 
     def __init__(self, dataset: Dataset, family: LshFamily, K: int, L: int,
                  seed: RngSeed, config: AdaptiveConfig = AdaptiveConfig(),
@@ -83,7 +85,7 @@ class ForestEnsemble:
         self.L = L
         self.seed = seed
         self.config = config
-        self.R = forests_for(dataset.n, config)
+        self.R = forests_for(dataset.n, config) if forests is None else len(forests)
         if l_prime is None:
             l_prime = trees_per_forest(L, self.R)
         if l_prime < 1 or (l_prime & (l_prime - 1)) != 0:
@@ -383,7 +385,7 @@ def adaptive_nearest_neighbor(ensemble: ForestEnsemble, q,
 # Ensemble serialization: a counted sequence of forest payloads.
 
 _ENS_MAGIC = b"CSLSHENS"
-_ENS_VERSION = 2  # v2 holds v2 forest payloads
+_ENS_VERSION = 3  # v3 holds v3 forest payloads
 _ENS_HEADER = "<IIIdIddQI"  # R, l_prime, K, config, L, cap
 
 
@@ -413,22 +415,22 @@ def ensemble_from_bytes(data: bytes, dataset: Dataset) -> ForestEnsemble:
         config = AdaptiveConfig(c_forests, t, collision_cap, tq, aq)
     except ValueError as exc:
         raise FormatError(f"bad ensemble config: {exc}") from exc
-    forests = []
+    payloads = []
     for _ in range(R):
         (blen,) = reader.unpack("<Q")
-        forest = forest_from_bytes(reader.take(blen), dataset)
-        if forest.K != K or forest.L != l_prime:
+        family, seed, params = read_forest_payload(reader.take(blen), dataset)
+        if len(params[0]) != K or len(params) != l_prime:
             raise FormatError("forest shape does not match the ensemble header")
-        forests.append(forest)
+        payloads.append((family, seed, params))
     reader.finish()
+    # Every payload is read and checked before any forest hashes the dataset.
+    forests = [Forest(dataset, *payload) for payload in payloads]
     seed = forests[0].seed
     base_seed = RngSeed(seed.master, seed.path[:-1]) if seed.path else seed
-    ens = ForestEnsemble(
+    return ForestEnsemble(
         dataset, forests[0].family, K, L, base_seed, config,
         l_prime=l_prime, forests=forests,
     )
-    ens.R = R  # honor the serialized forest count
-    return ens
 
 
 def save_ensemble(ensemble: ForestEnsemble, path: str) -> None:

@@ -86,6 +86,8 @@ class Dataset:
                 raise ValueError(f"{metric.value} datasets require real vectors")
             self.reals = np.ascontiguousarray(reals, dtype=np.float64)
             self.words = None
+            if self.reals.ndim != 2:
+                raise ValueError("real vectors must be a 2-d (n, dim) array")
             self.n = self.reals.shape[0]
             if self.reals.shape[1] != dim:
                 raise ValueError("dimension mismatch")
@@ -113,7 +115,8 @@ class Dataset:
         if metric is Metric.HAMMING:
             return cls.from_bits(np.asarray(reals))
         reals = np.asarray(reals, dtype=np.float64)
-        return cls(metric, reals.shape[1], reals=reals)
+        # the constructor rejects any shape but (n, dim)
+        return cls(metric, reals.shape[-1] if reals.ndim else 1, reals=reals)
 
     def point(self, i: int) -> np.ndarray:
         """Raw representation of point i: packed words or a float row."""

@@ -6,7 +6,8 @@ trie over those strings is never stored: the points whose strings share a
 length-i prefix are one contiguous range [start, end) of the sorted order, so
 a bucket is a slice of the order and its collision count a subtraction.
 
-Each tree stores its K members once, as one parameter array. ``PrefixCursor``
+A tree is its K members, one parameter array; ``ForestTrie`` derives its
+strings and order from them, at build and at load alike. ``PrefixCursor``
 hashes q against that array once, to its K-bit string, whose two longest
 common prefixes l1 >= l2 with the tree's strings fix the whole walk down q's
 path in closed form. The trie would stop at a leaf -- a single point, or
@@ -120,20 +121,18 @@ class PrefixCursor:
 
 
 class ForestTrie:
-    """One tree of the forest: its K members as one parameter array, the
-    sorted string array and the point order beside it."""
+    """One tree of the forest: its K members as one parameter array, and the
+    dataset's strings under them, sorted, with the point order beside them."""
 
     __slots__ = ("index", "K", "n", "family", "params", "order", "sorted_strings")
 
-    def __init__(self, index: int, family: LshFamily, params: np.ndarray,
-                 order: np.ndarray, sorted_strings: np.ndarray):
+    def __init__(self, index: int, family: LshFamily, params: np.ndarray, dataset: Dataset):
         self.index = index
         self.K = len(params)
-        self.n = sorted_strings.shape[0]
+        self.n = dataset.n
         self.family = family
         self.params = params
-        self.order = order
-        self.sorted_strings = sorted_strings
+        self.order, self.sorted_strings = sort_strings(pack_strings(self.members, dataset))
 
     @property
     def members(self) -> list[HashSpec]:
@@ -144,22 +143,25 @@ class ForestTrie:
         """Depth of the leaf holding a point, its shortest unique prefix: one
         more than its string's second-longest common prefix over the tree
         (its own is the longest), capped at K; 0 in a one-point tree."""
+        if not 0 <= point_id < self.n:
+            raise ValueError(f"point id {point_id} out of range [0, {self.n})")
         strings = memoryview(self.sorted_strings)
         s = strings[int(np.flatnonzero(self.order == point_id)[0])]
         return min(self.K, common_prefixes(strings, s, self.K)[1] + 1)
 
 
 class Forest:
-    """L independent tries of depth K over one dataset."""
+    """L independent tries of depth K over one dataset, one per parameter
+    array of K members in ``params``."""
 
-    def __init__(self, dataset: Dataset, family: LshFamily, K: int, L: int,
-                 seed: RngSeed, trees: list[ForestTrie]):
+    def __init__(self, dataset: Dataset, family: LshFamily, seed: RngSeed,
+                 params: list[np.ndarray]):
         self.dataset = dataset
         self.family = family
-        self.K = K
-        self.L = L
         self.seed = seed
-        self.trees = trees
+        self.trees = [ForestTrie(j, family, p, dataset) for j, p in enumerate(params)]
+        self.K = self.trees[0].K
+        self.L = len(self.trees)
 
     def _static_range(self, j: int, i: int, q,
                       counters: CostCounters | None) -> tuple[ForestTrie, int, int]:
@@ -204,12 +206,8 @@ def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,
     if K > 64:
         raise ValueError("packed strings support at most K = 64 levels")
     family.check_compatible(dataset)
-    trees = []
-    for j in range(L):
-        members = family.sample_members(seed.child("tree", j), K)
-        order, sorted_strings = sort_strings(pack_strings(members, dataset))
-        trees.append(ForestTrie(j, family, stack_params(members), order, sorted_strings))
-    return Forest(dataset, family, K, L, seed, trees)
+    params = [stack_params(family.sample_members(seed.child("tree", j), K)) for j in range(L)]
+    return Forest(dataset, family, seed, params)
 
 
 def expected_collisions(dataset: Dataset, family: LshFamily, q, i: int) -> float:
@@ -226,12 +224,13 @@ def expected_collisions(dataset: Dataset, family: LshFamily, q, i: int) -> float
 # ---------------------------------------------------------------------------
 # Serialization: versioned binary layout, little-endian throughout.
 #
-# v2 layout: magic, header (version, n, dim, metric, family, K, L), the seed,
-# then per tree its member parameters, point order and sorted strings. v1
-# payloads, which also carried trie node arrays, are rejected.
+# v3 layout: magic, header (version, n, dim, metric, family, K, L), the seed,
+# then per tree only its member parameters (<u4 coordinates or <f8
+# directions); loading rehashes the dataset under them. v1 (trie node arrays)
+# and v2 (per-tree point order and sorted strings) payloads are rejected.
 
 _MAGIC = b"CSLSHFOR"
-_VERSION = 2
+_VERSION = 3
 _HEADER = "<QIBBII"  # n, dim, metric, family, K, L
 _METRIC_CODE = {Metric.HAMMING: 0, Metric.EUCLIDEAN: 1, Metric.ANGULAR: 2}
 _METRIC_FROM = {v: k for k, v in _METRIC_CODE.items()}
@@ -313,14 +312,11 @@ def forest_to_bytes(forest: Forest) -> bytes:
     param_dtype = "<u4" if isinstance(forest.family, BitSampling) else "<f8"
     for tree in forest.trees:
         parts.append(tree.params.astype(param_dtype).tobytes())
-        parts.append(tree.order.astype("<i8").tobytes())
-        parts.append(tree.sorted_strings.astype("<u8").tobytes())
     return b"".join(parts)
 
 
-def _read_tree(reader: PayloadReader, family: LshFamily, j: int, K: int, n: int) -> ForestTrie:
-    """One tree's members, order and strings, checked for the invariants the
-    prefix ranges rely on."""
+def _read_params(reader: PayloadReader, family: LshFamily, K: int) -> np.ndarray:
+    """One tree's K member parameters, checked to be members of the family."""
     dim = family.dim
     if isinstance(family, BitSampling):
         params = reader.array("<u4", K).astype(np.int64)
@@ -330,16 +326,12 @@ def _read_tree(reader: PayloadReader, family: LshFamily, j: int, K: int, n: int)
         params = reader.array("<f8", K * dim).reshape(K, dim)
         if not np.isfinite(params).all():
             raise FormatError("sign-projection directions are not finite")
-    order = reader.array("<i8", n)
-    strings = reader.array("<u8", n)
-    if ((order < 0) | (order >= n)).any() or np.bincount(order, minlength=n).max() != 1:
-        raise FormatError("tree order is not a permutation of the point ids")
-    if (strings[1:] < strings[:-1]).any() or int(strings[-1]) >> K:
-        raise FormatError(f"tree strings are not sorted {K}-bit values")
-    return ForestTrie(j, family, params, order, strings)
+    return params
 
 
-def forest_from_bytes(data: bytes, dataset: Dataset) -> Forest:
+def read_forest_payload(data, dataset: Dataset) -> tuple[LshFamily, RngSeed, list[np.ndarray]]:
+    """A forest payload's family, seed and per-tree member parameters, read
+    and checked to the last byte; nothing is hashed yet."""
     reader = PayloadReader(data, "forest")
     reader.magic_and_version(_MAGIC, _VERSION)
     n, dim, mcode, fcode, K, L = reader.unpack(_HEADER)
@@ -353,9 +345,13 @@ def forest_from_bytes(data: bytes, dataset: Dataset) -> Forest:
     if not (1 <= K <= 64 and L >= 1):
         raise FormatError(f"bad forest shape K={K} L={L}")
     seed = _read_seed(reader)
-    trees = [_read_tree(reader, family, j, K, n) for j in range(L)]
+    params = [_read_params(reader, family, K) for _ in range(L)]
     reader.finish()
-    return Forest(dataset, family, K, L, seed, trees)
+    return family, seed, params
+
+
+def forest_from_bytes(data: bytes, dataset: Dataset) -> Forest:
+    return Forest(dataset, *read_forest_payload(data, dataset))
 
 
 def save_forest(forest: Forest, path: str) -> None:

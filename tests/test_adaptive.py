@@ -301,7 +301,8 @@ def test_query_computes_each_distance_once(monkeypatch, kind, dim, K):
     ("t", 0), ("c_forests", -3.0), ("c_forests", 0.0), ("c_forests", math.inf),
     ("c_forests", math.nan), ("collision_cap", 0), ("terminate_quorum", 0.0),
     ("terminate_quorum", 1.5), ("terminate_quorum", math.nan), ("advance_quorum", 0.0),
-    ("advance_quorum", math.nan),
+    ("advance_quorum", math.nan), ("t", 2.5), ("t", 2**32), ("collision_cap", 10.0),
+    ("collision_cap", 2**32),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError):

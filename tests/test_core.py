@@ -119,6 +119,12 @@ def test_non_finite_reals_rejected(metric, bad):
         brute_force_nn(ds, q)
 
 
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.ANGULAR])
+def test_real_vectors_must_be_2d(metric):
+    with pytest.raises(ValueError, match="2-d"):
+        Dataset.from_reals(np.ones(5), metric)
+
+
 def _words(rows):
     return np.array(rows, dtype=np.uint64)
 

@@ -11,6 +11,7 @@ from cslsh.families import BitSampling, SignRandomProjection
 from cslsh.forest import (
     FormatError,
     PrefixCursor,
+    _seed_bytes,
     build_forest,
     expected_collisions,
     forest_from_bytes,
@@ -52,6 +53,14 @@ def test_stored_depth_matches_naive_shortest_unique_prefix():
         strings = [int(tree.sorted_strings[np.flatnonzero(tree.order == pid)[0]]) for pid in range(8)]
         for pid in range(8):
             assert tree.stored_depth(pid) == naive_shortest_unique_prefix(strings, 8, pid)
+
+
+@pytest.mark.parametrize("point_id", [-1, 8])
+def test_stored_depth_rejects_an_id_outside_the_dataset(point_id):
+    ds = random_instance(SEED.child("depth-id").generator(), 8, 8)
+    tree = build_forest(ds, BitSampling(8), K=8, L=1, seed=SEED.child("depth-id-f")).trees[0]
+    with pytest.raises(ValueError):
+        tree.stored_depth(point_id)
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,6 +203,28 @@ def test_serialization_srp_round_trip():
             )
 
 
+@pytest.mark.parametrize("family", ["bit-sampling", "sign-projection"])
+def test_loaded_trees_rehash_to_the_built_strings_and_order(family):
+    # a payload holds only the members; load derives the rest through the
+    # same constructor as build, and must arrive at the same arrays
+    rng = SEED.child("rehash").generator()
+    K, L = 12, 4
+    if family == "bit-sampling":
+        ds, fam, tree_bytes = random_instance(rng, 40, 24), BitSampling(24), 4 * K
+    else:
+        ds = Dataset.from_reals(rng.standard_normal((40, 6)), Metric.ANGULAR)
+        fam, tree_bytes = SignRandomProjection(6), 8 * K * 6
+    forest = build_forest(ds, fam, K=K, L=L, seed=SEED.child("rehash-f"))
+    blob = forest_to_bytes(forest)
+    header = 12 + struct.calcsize("<QIBBII")  # magic, version, shape
+    assert len(blob) == header + len(_seed_bytes(forest.seed)) + L * tree_bytes
+    loaded = forest_from_bytes(blob, ds)
+    for built, again in zip(forest.trees, loaded.trees, strict=True):
+        assert np.array_equal(built.params, again.params)
+        assert np.array_equal(built.order, again.order)
+        assert np.array_equal(built.sorted_strings, again.sorted_strings)
+
+
 def test_build_validation():
     ds = Dataset.from_bits(np.zeros((2, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
@@ -305,21 +336,16 @@ def _payload_cases():
     n, dim, K, L = 30, 16, 8, 3
     ds = random_instance(rng, n, dim)
     blob = forest_to_bytes(build_forest(ds, BitSampling(dim), K=K, L=L, seed=SEED.child("m")))
-    tree0 = len(blob) - L * (4 * K + 16 * n)  # members, order, strings per tree
-    order0, strings0 = tree0 + 4 * K, tree0 + 4 * K + 8 * n
+    tree0 = len(blob) - L * 4 * K  # K <u4 coordinates per tree
 
     def patched(base, off, fmt, value):
         out = bytearray(base)
         struct.pack_into(fmt, out, off, value)
         return bytes(out)
 
-    s = np.frombuffer(blob, dtype="<u8", count=n, offset=strings0)
-    k = int(np.flatnonzero(np.diff(s))[0])  # two adjacent distinct strings
-    swapped = bytearray(blob)
-    swapped[strings0 + 8 * k : strings0 + 8 * k + 16] = s[[k + 1, k]].tobytes()
-    first_order = int(np.frombuffer(blob, dtype="<i8", count=1, offset=order0)[0])
     forest_cases = {
         "forest-v1": patched(blob, 8, "<I", 1),
+        "forest-v2": patched(blob, 8, "<I", 2),
         "forest-unknown-metric": patched(blob, 24, "<B", 7),
         "forest-unknown-family": patched(blob, 25, "<B", 7),
         "forest-family-metric-mismatch": patched(blob, 25, "<B", 1),
@@ -329,10 +355,6 @@ def _payload_cases():
         "forest-truncated-tree": blob[:-1],
         "forest-trailing-bytes": blob + b"\0",
         "forest-coordinate-out-of-range": patched(blob, tree0, "<I", dim),
-        "forest-order-duplicate": patched(blob, order0 + 8, "<q", first_order),
-        "forest-order-out-of-range": patched(blob, order0, "<q", n),
-        "forest-unsorted-strings": bytes(swapped),
-        "forest-string-wider-than-K": patched(blob, strings0 + 8 * (n - 1), "<Q", 1 << K),
     }
     small = random_instance(rng, 12, 8)
     eblob = ensemble_to_bytes(build_ensemble(small, BitSampling(8), 4, 1, SEED.child("e"),
@@ -343,6 +365,8 @@ def _payload_cases():
         ("advance_quorum", "IIIdId"), ("collision_cap", "IIIdIddQ"))}
     ensemble_cases = {
         "ensemble-v1-short-header": patched(eblob, 8, "<I", 1)[:12],
+        "ensemble-v2": patched(eblob, 8, "<I", 2),
+        "ensemble-inner-forest-v2": patched(eblob, forest1 + 8, "<I", 2),
         "ensemble-c-forests-negative": patched(eblob, config_at["c_forests"], "<d", -3.0),
         "ensemble-t-zero": patched(eblob, config_at["t"], "<I", 0),
         "ensemble-terminate-quorum-zero": patched(eblob, config_at["terminate_quorum"], "<d", 0.0),
@@ -359,7 +383,7 @@ def _payload_cases():
     angular = Dataset.from_reals(srng.standard_normal((10, 4)), Metric.ANGULAR)
     sblob = forest_to_bytes(build_forest(angular, SignRandomProjection(4), K=3, L=2,
                                          seed=SEED.child("s")))
-    directions0 = len(sblob) - 2 * (8 * 3 * 4 + 16 * 10)
+    directions0 = len(sblob) - 2 * 8 * 3 * 4  # K * dim <f8 components per tree
     srp_cases = {
         "forest-nan-direction": patched(sblob, directions0 + 8, "<d", math.nan),
         "forest-infinite-direction": patched(sblob, directions0, "<d", -math.inf),

@@ -1,7 +1,8 @@
 """Fuzz tests for every parser of external input.
 
 A truncated forest or ensemble payload is a FormatError; a payload with
-flipped or inserted bytes either loads or is a FormatError. Random bytes as
+flipped or inserted bytes either is a FormatError or loads a structure whose
+every bucket is the one its loaded members define. Random bytes as
 fvecs/bvecs files and random text as data CSV, ground-truth CSV or config
 file either parse or raise ValueError (FormatError is one). No other
 exception type may escape a parser.
@@ -14,12 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cslsh.adaptive import build_ensemble, ensemble_from_bytes, ensemble_to_bytes
+from cslsh.adaptive import (
+    AdaptiveConfig, ForestEnsemble, build_ensemble, ensemble_from_bytes, ensemble_to_bytes,
+)
 from cslsh.cli import DEFAULTS, resolve_config
-from cslsh.core import Dataset, FormatError, Metric, RngSeed
+from cslsh.core import Dataset, FormatError, Metric, RngSeed, _pack_bits
 from cslsh.data import InstanceSpec, generate, load_dataset, load_instance, save_instance
 from cslsh.families import BitSampling, SignRandomProjection
 from cslsh.forest import build_forest, forest_from_bytes, forest_to_bytes
+from cslsh.oracle import naive_prefix_filter
 
 SEED = RngSeed(808)
 FUZZ = settings(max_examples=150, deadline=None,
@@ -27,18 +31,21 @@ FUZZ = settings(max_examples=150, deadline=None,
 
 
 def _payloads():
-    """(name, loader, dataset, valid payload) for small forests and an ensemble."""
+    """(name, loader, dataset, valid payload) for small forests and an ensemble.
+
+    The Hamming structures take K = 16, so that most single-bit changes to
+    any per-point state a format might store still look well formed."""
     rng = SEED.child("payloads").generator()
     hamming = Dataset.from_bits(rng.integers(0, 2, size=(12, 16), dtype=np.uint8))
     angular = Dataset.from_reals(rng.standard_normal((10, 4)), Metric.ANGULAR)
     return [
         ("forest-bit-sampling", forest_from_bytes, hamming,
-         forest_to_bytes(build_forest(hamming, BitSampling(16), 6, 2, SEED.child("b")))),
+         forest_to_bytes(build_forest(hamming, BitSampling(16), 16, 2, SEED.child("b")))),
         ("forest-sign-projection", forest_from_bytes, angular,
          forest_to_bytes(build_forest(angular, SignRandomProjection(4), 5, 2, SEED.child("s")))),
         ("ensemble", ensemble_from_bytes, hamming,
-         ensemble_to_bytes(build_ensemble(hamming, BitSampling(16), 4, 1, SEED.child("e"),
-                                          l_prime=1))),
+         ensemble_to_bytes(build_ensemble(hamming, BitSampling(16), 16, 1, SEED.child("e"),
+                                          AdaptiveConfig(c_forests=1.0), l_prime=1))),
     ]
 
 
@@ -46,11 +53,27 @@ _PAYLOADS = _payloads()
 _payload_case = pytest.mark.parametrize("case", _PAYLOADS, ids=[c[0] for c in _PAYLOADS])
 
 
-def _loads_or_format_error(loader, payload: bytes, dataset) -> None:
+def _loads_correctly_or_format_error(loader, payload: bytes, dataset, data) -> None:
+    """The payload is a FormatError, or it loads and, for every data point and
+    one random query, every tree's bucket at every level is the naive filter
+    over that tree's loaded members."""
     try:
-        loader(payload, dataset)
+        loaded = loader(payload, dataset)
     except FormatError:
-        pass
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="query seed"))
+    if dataset.metric is Metric.HAMMING:
+        q = _pack_bits(rng.integers(0, 2, size=(1, dataset.dim), dtype=np.uint8))[0]
+    else:
+        q = rng.standard_normal(dataset.dim)
+    queries = [dataset.point(p) for p in range(dataset.n)] + [q]
+    forests = loaded.forests if isinstance(loaded, ForestEnsemble) else [loaded]
+    for forest in forests:
+        for j, tree in enumerate(forest.trees, 1):
+            for x in queries:
+                for i in range(forest.K + 1):
+                    want = naive_prefix_filter(tree.members, dataset, x, i).tolist()
+                    assert sorted(forest.bucket(j, i, x).tolist()) == want
 
 
 def _parses_or_value_error(parse, *args) -> None:
@@ -86,7 +109,19 @@ def test_flipped_bytes_load_or_are_a_format_error(case, data):
                                min_size=1, max_size=4), label="flips")
     for pos, mask in flips:
         out[pos] ^= mask
-    _loads_or_format_error(loader, bytes(out), dataset)
+    _loads_correctly_or_format_error(loader, bytes(out), dataset, data)
+
+
+@_payload_case
+@FUZZ
+@given(data=st.data())
+def test_flipped_bit_loads_correctly_or_is_a_format_error(case, data):
+    # one flipped bit is the corruption likeliest to leave a payload well formed
+    _, loader, dataset, payload = case
+    bit = data.draw(st.integers(0, 8 * len(payload) - 1), label="bit")
+    out = bytearray(payload)
+    out[bit // 8] ^= 1 << bit % 8
+    _loads_correctly_or_format_error(loader, bytes(out), dataset, data)
 
 
 @_payload_case
@@ -96,7 +131,7 @@ def test_inserted_bytes_load_or_are_a_format_error(case, data):
     _, loader, dataset, payload = case
     pos = data.draw(st.integers(0, len(payload)), label="pos")
     extra = data.draw(st.binary(min_size=1, max_size=16), label="extra")
-    _loads_or_format_error(loader, payload[:pos] + extra + payload[pos:], dataset)
+    _loads_correctly_or_format_error(loader, payload[:pos] + extra + payload[pos:], dataset, data)
 
 
 # A vecs record is a little-endian int32 dimension and then the coordinates;
