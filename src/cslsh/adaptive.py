@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .forest import (
     PayloadReader,
     PrefixCursor,
     build_forest,
-    forest_to_bytes,
+    forest_payload,
     read_forest_payload,
 )
 
@@ -73,39 +73,35 @@ def trees_per_forest(L: int, R: int) -> int:
 
 
 class ForestEnsemble:
-    """R independent forests sharing one dataset, family and depth K; R is
-    ``forests_for(n, config)``, or the number of ``forests`` given."""
+    """R forests of l_prime trees each over one dataset, family and depth K,
+    with the config and seed they were built under; ``build_ensemble`` builds one."""
 
-    def __init__(self, dataset: Dataset, family: LshFamily, K: int, L: int,
-                 seed: RngSeed, config: AdaptiveConfig = AdaptiveConfig(),
-                 l_prime: int | None = None, forests: list[Forest] | None = None):
-        self.dataset = dataset
-        self.family = family
-        self.K = K
-        self.L = L
-        self.seed = seed
-        self.config = config
-        self.R = forests_for(dataset.n, config) if forests is None else len(forests)
-        if l_prime is None:
-            l_prime = trees_per_forest(L, self.R)
-        if l_prime < 1 or (l_prime & (l_prime - 1)) != 0:
-            raise ValueError("trees per forest must be a positive power of two")
-        self.l_prime = l_prime
-        if forests is None:
-            forests = [
-                build_forest(dataset, family, K, l_prime, seed.child("forest", r))
-                for r in range(self.R)
-            ]
+    def __init__(self, forests: list[Forest], config: AdaptiveConfig, seed: RngSeed):
+        first = forests[0]
+        self.dataset = first.dataset
+        self.family = first.family
+        self.K = first.K
+        self.l_prime = first.L
+        self.R = len(forests)
         self.forests = forests
-
-    def total_trees(self) -> int:
-        return self.R * self.l_prime
+        self.config = config
+        self.seed = seed
 
 
 def build_ensemble(dataset: Dataset, family: LshFamily, K: int, L: int,
                    seed: RngSeed, config: AdaptiveConfig = AdaptiveConfig(),
                    l_prime: int | None = None) -> ForestEnsemble:
-    return ForestEnsemble(dataset, family, K, L, seed, config, l_prime)
+    """Build R = ``forests_for(n, config)`` forests of ``l_prime`` trees each,
+    by default ``trees_per_forest(L, R)``; forest r draws its trees from the
+    ("forest", r) child seed."""
+    R = forests_for(dataset.n, config)
+    if l_prime is None:
+        l_prime = trees_per_forest(L, R)
+    if l_prime < 1 or l_prime & (l_prime - 1):
+        raise ValueError("trees per forest must be a positive power of two")
+    forests = [build_forest(dataset, family, K, l_prime, seed.child("forest", r))
+               for r in range(R)]
+    return ForestEnsemble(forests, config, seed)
 
 
 @dataclass
@@ -382,55 +378,39 @@ def adaptive_nearest_neighbor(ensemble: ForestEnsemble, q,
 
 
 # ---------------------------------------------------------------------------
-# Ensemble serialization: a counted sequence of forest payloads.
+# Ensemble serialization, v4: magic, version, l_prime and the five config
+# fields, then one forest payload of all T = R * l_prime trees under the
+# ensemble's seed. Forest r is trees r * l_prime ... (r + 1) * l_prime - 1,
+# with seed ("forest", r) below the ensemble's. v1-v3 payloads are rejected.
 
 _ENS_MAGIC = b"CSLSHENS"
-_ENS_VERSION = 3  # v3 holds v3 forest payloads
-_ENS_HEADER = "<IIIdIddQI"  # R, l_prime, K, config, L, cap
+_ENS_VERSION = 4
+_ENS_HEADER = "<IdIIdd"  # l_prime, then AdaptiveConfig's fields in order
 
 
 def ensemble_to_bytes(ensemble: ForestEnsemble) -> bytes:
-    cfg = ensemble.config
-    parts = [
-        _ENS_MAGIC,
-        struct.pack("<I", _ENS_VERSION),
-        struct.pack(_ENS_HEADER, ensemble.R, ensemble.l_prime, ensemble.K, cfg.c_forests,
-                    cfg.t, cfg.terminate_quorum, cfg.advance_quorum, ensemble.L,
-                    cfg.collision_cap),
-    ]
-    for forest in ensemble.forests:
-        blob = forest_to_bytes(forest)
-        parts.append(struct.pack("<Q", len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+    params = [tree.params for forest in ensemble.forests for tree in forest.trees]
+    return (_ENS_MAGIC + struct.pack("<I", _ENS_VERSION)
+            + struct.pack(_ENS_HEADER, ensemble.l_prime, *astuple(ensemble.config))
+            + forest_payload(ensemble.dataset, ensemble.family, ensemble.seed, params))
 
 
 def ensemble_from_bytes(data: bytes, dataset: Dataset) -> ForestEnsemble:
     reader = PayloadReader(data, "ensemble")
     reader.magic_and_version(_ENS_MAGIC, _ENS_VERSION)
-    R, l_prime, K, c_forests, t, tq, aq, L, collision_cap = reader.unpack(_ENS_HEADER)
-    if R < 1:
-        raise FormatError("ensemble holds no forests")
+    l_prime, *fields = reader.unpack(_ENS_HEADER)
     try:
-        config = AdaptiveConfig(c_forests, t, collision_cap, tq, aq)
+        config = AdaptiveConfig(*fields)
     except ValueError as exc:
         raise FormatError(f"bad ensemble config: {exc}") from exc
-    payloads = []
-    for _ in range(R):
-        (blen,) = reader.unpack("<Q")
-        family, seed, params = read_forest_payload(reader.take(blen), dataset)
-        if len(params[0]) != K or len(params) != l_prime:
-            raise FormatError("forest shape does not match the ensemble header")
-        payloads.append((family, seed, params))
-    reader.finish()
-    # Every payload is read and checked before any forest hashes the dataset.
-    forests = [Forest(dataset, *payload) for payload in payloads]
-    seed = forests[0].seed
-    base_seed = RngSeed(seed.master, seed.path[:-1]) if seed.path else seed
-    return ForestEnsemble(
-        dataset, forests[0].family, K, L, base_seed, config,
-        l_prime=l_prime, forests=forests,
-    )
+    family, seed, params = read_forest_payload(reader.rest(), dataset)
+    if l_prime < 1 or l_prime & (l_prime - 1) or len(params) % l_prime:
+        raise FormatError(f"l_prime={l_prime} is not a power of two that divides "
+                          f"the {len(params)} trees")
+    # Every parameter is read and checked before any forest hashes the dataset.
+    forests = [Forest(dataset, family, seed.child("forest", r), params[i : i + l_prime])
+               for r, i in enumerate(range(0, len(params), l_prime))]
+    return ForestEnsemble(forests, config, seed)
 
 
 def save_ensemble(ensemble: ForestEnsemble, path: str) -> None:

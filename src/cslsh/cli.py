@@ -19,8 +19,8 @@ import numpy as np
 
 from .adaptive import (
     AdaptiveConfig,
-    ForestEnsemble,
     adaptive_nearest_neighbor,
+    build_ensemble,
     load_ensemble,
     save_ensemble,
 )
@@ -200,7 +200,7 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
         if structure_path:
             ens = load_ensemble(structure_path, dataset)
         else:
-            ens = ForestEnsemble(
+            ens = build_ensemble(
                 dataset, family, config["k"], config["l"], seed.child("ensemble"),
                 _adaptive_config(config), l_prime=config["l_prime"],
             )
@@ -324,7 +324,7 @@ def cmd_build(args) -> int:
         depth = max(int(t.stored_depth(i)) for t in forest.trees for i in range(0, min(dataset.n, 8)))
         print(f"forest: L={forest.L} K={forest.K} sample_max_depth={depth}")
     else:
-        ens = ForestEnsemble(
+        ens = build_ensemble(
             dataset, family, config["k"], config["l"], seed.child("ensemble"),
             _adaptive_config(config), l_prime=config["l_prime"],
         )
@@ -502,10 +502,7 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) in ("", None) and args.command in ("generate", "build"):
             raise FormatError(f"{args.command} requires --out")
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

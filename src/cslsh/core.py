@@ -103,8 +103,8 @@ class Dataset:
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "Dataset":
-        bits = np.asarray(bits)
-        return cls(Metric.HAMMING, bits.shape[1], words=_pack_bits(bits))
+        words = _pack_bits(bits)  # rejects any shape but (n, dim)
+        return cls(Metric.HAMMING, np.shape(bits)[1], words=words)
 
     @classmethod
     def from_packed(cls, words: np.ndarray, dim: int) -> "Dataset":

@@ -226,8 +226,9 @@ def expected_collisions(dataset: Dataset, family: LshFamily, q, i: int) -> float
 #
 # v3 layout: magic, header (version, n, dim, metric, family, K, L), the seed,
 # then per tree only its member parameters (<u4 coordinates or <f8
-# directions); loading rehashes the dataset under them. v1 (trie node arrays)
-# and v2 (per-tree point order and sorted strings) payloads are rejected.
+# directions); loading rehashes the dataset under them. An ensemble payload
+# ends in one such payload of all its trees. v1 (trie node arrays) and v2
+# (per-tree point order and sorted strings) payloads are rejected.
 
 _MAGIC = b"CSLSHFOR"
 _VERSION = 3
@@ -270,6 +271,9 @@ class PayloadReader:
         if got != version:
             raise FormatError(f"unsupported {self.what} format version {got}")
 
+    def rest(self) -> memoryview:
+        return self.take(len(self.buf) - self.off)
+
     def finish(self) -> None:
         if self.off != len(self.buf):
             raise FormatError(f"trailing bytes after {self.what} payload")
@@ -298,25 +302,33 @@ def _read_seed(reader: PayloadReader) -> RngSeed:
     return RngSeed(master, tuple(path))
 
 
-def forest_to_bytes(forest: Forest) -> bytes:
+def forest_payload(dataset: Dataset, family: LshFamily, seed: RngSeed,
+                   params: list[np.ndarray]) -> bytes:
+    """The v3 payload of trees with member parameters ``params``."""
     header = _MAGIC + struct.pack("<I", _VERSION) + struct.pack(
         _HEADER,
-        forest.dataset.n,
-        forest.dataset.dim,
-        _METRIC_CODE[forest.dataset.metric],
-        _FAMILY_CODE[forest.family.kind],
-        forest.K,
-        forest.L,
+        dataset.n,
+        dataset.dim,
+        _METRIC_CODE[dataset.metric],
+        _FAMILY_CODE[family.kind],
+        len(params[0]),
+        len(params),
     )
-    parts = [header, _seed_bytes(forest.seed)]
-    param_dtype = "<u4" if isinstance(forest.family, BitSampling) else "<f8"
-    for tree in forest.trees:
-        parts.append(tree.params.astype(param_dtype).tobytes())
+    parts = [header, _seed_bytes(seed)]
+    param_dtype = "<u4" if isinstance(family, BitSampling) else "<f8"
+    for p in params:
+        parts.append(p.astype(param_dtype).tobytes())
     return b"".join(parts)
 
 
+def forest_to_bytes(forest: Forest) -> bytes:
+    return forest_payload(forest.dataset, forest.family, forest.seed,
+                          [tree.params for tree in forest.trees])
+
+
 def _read_params(reader: PayloadReader, family: LshFamily, K: int) -> np.ndarray:
-    """One tree's K member parameters, checked to be members of the family."""
+    """One tree's K member parameters; coordinates are checked to lie below
+    the dimension."""
     dim = family.dim
     if isinstance(family, BitSampling):
         params = reader.array("<u4", K).astype(np.int64)
@@ -324,8 +336,6 @@ def _read_params(reader: PayloadReader, family: LshFamily, K: int) -> np.ndarray
             raise FormatError("bit-sampling coordinate out of range")
     else:
         params = reader.array("<f8", K * dim).reshape(K, dim)
-        if not np.isfinite(params).all():
-            raise FormatError("sign-projection directions are not finite")
     return params
 
 
@@ -347,6 +357,13 @@ def read_forest_payload(data, dataset: Dataset) -> tuple[LshFamily, RngSeed, lis
     seed = _read_seed(reader)
     params = [_read_params(reader, family, K) for _ in range(L)]
     reader.finish()
+    if isinstance(family, SignRandomProjection):
+        # |<x, d>| <= max_k |d_k| * |x|_1, so below the float64 maximum no
+        # inner product of a direction with a data row overflows; NaN fails too.
+        bound = float(np.abs(params).max()) * float(np.abs(dataset.reals).sum(axis=1).max())
+        if not bound < np.finfo(np.float64).max:
+            raise FormatError("sign-projection directions are not finite, or large "
+                              "enough to overflow an inner product with the data")
     return family, seed, params
 
 

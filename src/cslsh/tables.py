@@ -93,9 +93,6 @@ class TableSequence:
             self._tables[i] = tab
         return tab
 
-    def built_count(self) -> int:
-        return len(self._tables)
-
     def sample_once(self, q, i: int, rng: np.random.Generator,
                     counters: CostCounters, max_candidates: int | None = None):
         """One draw from the sampling distribution using table i.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, ForestEnsemble, adaptive_nearest_neighbor, forests_for
+from .adaptive import AdaptiveConfig, adaptive_nearest_neighbor, build_ensemble, forests_for
 from .confirmation import (
     DiscreteDistribution,
     exact_output_distribution,
@@ -499,7 +499,7 @@ def measure_adaptive_cell(kind: str, n: int, n_queries: int = 1000,
     fam = BitSampling(inst.dataset.dim)
     config = AdaptiveConfig()
     R = forests_for(n, config)
-    ens = ForestEnsemble(
+    ens = build_ensemble(
         inst.dataset, fam, K, R * L_PRIME, _seed("grid", kind, ("n", n)),
         config, l_prime=L_PRIME,
     )
@@ -512,7 +512,7 @@ def measure_adaptive_cell(kind: str, n: int, n_queries: int = 1000,
     opts = []
     for k in range(min(opt_sample, n_queries)):
         prof = profile(inst.dataset, fam, inst.query(k), K)
-        rep = opt_report(prof, ens.total_trees(), K, n)
+        rep = opt_report(prof, ens.R * ens.l_prime, K, n)
         opts.append(rep.opt)
     natural_recall = None
     if kind == "dense-cluster":
@@ -588,7 +588,7 @@ def _fixed_r_distance0(n_values=(256, 512, 1024, 2048, 4096), n_queries: int = 3
         fam = BitSampling(inst.dataset.dim)
         config = AdaptiveConfig(c_forests=47.5 / math.log(n))
         R = forests_for(n, config)
-        ens = ForestEnsemble(
+        ens = build_ensemble(
             inst.dataset, fam, 16, R * L_PRIME, _seed("slope", ("n", n)),
             config, l_prime=L_PRIME,
         )

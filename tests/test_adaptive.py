@@ -6,11 +6,11 @@ import pytest
 from cslsh import adaptive
 from cslsh.adaptive import (
     AdaptiveConfig,
-    ForestEnsemble,
     LevelPairStatus,
     _QueryState,
     adaptive_nearest_neighbor,
     bottom_up_phase,
+    build_ensemble,
     choose_level,
     ensemble_from_bytes,
     ensemble_to_bytes,
@@ -33,7 +33,7 @@ def hamming_set(rng, n, dim):
 
 def build(ds, K=8, l_prime=4, config=AdaptiveConfig(), tag="ens"):
     R = forests_for(ds.n, config)
-    return ForestEnsemble(
+    return build_ensemble(
         ds, BitSampling(ds.dim), K, R * l_prime, SEED.child(tag), config, l_prime=l_prime
     )
 
@@ -47,7 +47,7 @@ def test_ensemble_shape():
     assert len(ens.forests) == ens.R
     assert all(f.L == 4 and f.K == 8 for f in ens.forests)
     with pytest.raises(ValueError):
-        ForestEnsemble(ds, BitSampling(16), 8, 64, SEED, l_prime=3)
+        build_ensemble(ds, BitSampling(16), 8, 64, SEED, l_prime=3)
 
 
 def test_trees_per_forest_power_of_two():
@@ -181,7 +181,7 @@ def test_distance_zero_queries():
     spec = InstanceSpec("uniform-hamming", n=256, dim=32, n_queries=60, seed=3,
                         queries_from_data=True)
     inst = generate(spec)
-    ens = ForestEnsemble(
+    ens = build_ensemble(
         inst.dataset, BitSampling(32), 16,
         forests_for(256, AdaptiveConfig()) * 8,
         SEED.child("d0"), l_prime=8,
@@ -210,7 +210,7 @@ def test_separation_small():
                         cluster_size=128, cluster_distance=8, shell_flips=32)
     inst = generate(spec)
     config = AdaptiveConfig()
-    ens = ForestEnsemble(
+    ens = build_ensemble(
         inst.dataset, BitSampling(64), 40, forests_for(256, config) * 8,
         SEED.child("sep"), config, l_prime=8,
     )
@@ -235,6 +235,9 @@ def test_ensemble_serialization_round_trip():
     blob = ensemble_to_bytes(ens)
     loaded = ensemble_from_bytes(blob, ds)
     assert loaded.R == ens.R and loaded.l_prime == ens.l_prime and loaded.K == ens.K
+    assert ensemble_to_bytes(loaded) == blob
+    assert loaded.seed == ens.seed
+    assert [f.seed for f in loaded.forests] == [f.seed for f in ens.forests]
     q = _pack_bits(rng.integers(0, 2, size=(1, 16), dtype=np.uint8))[0]
     a = adaptive_nearest_neighbor(ens, q, SEED.child("ser-q"))
     b = adaptive_nearest_neighbor(loaded, q, SEED.child("ser-q"))
@@ -247,7 +250,7 @@ def test_adaptive_on_angular_data():
     spec = InstanceSpec("gaussian-angular", n=128, dim=12, n_queries=40, seed=9)
     inst = generate(spec)
     config = AdaptiveConfig()
-    ens = ForestEnsemble(
+    ens = build_ensemble(
         inst.dataset, SignRandomProjection(12), 12,
         forests_for(128, config) * 4, SEED.child("ang"), config, l_prime=4,
     )
@@ -262,7 +265,7 @@ def test_adaptive_on_angular_data():
 def test_query_computes_each_distance_once(monkeypatch, kind, dim, K):
     inst = generate(InstanceSpec(kind, n=256, dim=dim, n_queries=2, seed=21))
     ds = inst.dataset
-    ens = ForestEnsemble(ds, family_for_metric(ds.metric, dim), K, 1,
+    ens = build_ensemble(ds, family_for_metric(ds.metric, dim), K, 1,
                          SEED.child("memo"), l_prime=8)
     untraced = [adaptive_nearest_neighbor(ens, inst.query(k), SEED.child("memo-q", k))
                 for k in range(2)]

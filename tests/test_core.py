@@ -125,6 +125,15 @@ def test_real_vectors_must_be_2d(metric):
         Dataset.from_reals(np.ones(5), metric)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Dataset.from_bits(np.ones(5, dtype=np.uint8)),
+    lambda: Dataset.from_reals(np.ones(5), Metric.HAMMING),
+])
+def test_bit_vectors_must_be_2d(make):
+    with pytest.raises(ValueError, match="2-d"):
+        make()
+
+
 def _words(rows):
     return np.array(rows, dtype=np.uint64)
 

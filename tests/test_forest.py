@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cslsh import forest as forest_module
 from cslsh.core import CostCounters, Dataset, Metric, RngSeed, _pack_bits
 from cslsh.families import BitSampling, SignRandomProjection
 from cslsh.forest import (
@@ -357,15 +358,22 @@ def _payload_cases():
         "forest-coordinate-out-of-range": patched(blob, tree0, "<I", dim),
     }
     small = random_instance(rng, 12, 8)
-    eblob = ensemble_to_bytes(build_ensemble(small, BitSampling(8), 4, 1, SEED.child("e"),
-                                             l_prime=1))
-    forest1 = 12 + struct.calcsize("<IIIdIddQI") + 8  # first forest payload
+    ensemble = build_ensemble(small, BitSampling(8), 4, 1, SEED.child("e"), l_prime=1)
+    eblob = ensemble_to_bytes(ensemble)
+    header = struct.calcsize("<IdIIdd")  # l_prime, c_forests, t, collision_cap, quorums
+    forest1 = 12 + header  # the one forest payload of every tree
     config_at = {name: 12 + struct.calcsize("<" + fmt) for name, fmt in (
-        ("c_forests", "III"), ("t", "IIId"), ("terminate_quorum", "IIIdI"),
-        ("advance_quorum", "IIIdId"), ("collision_cap", "IIIdIddQ"))}
+        ("c_forests", "I"), ("t", "Id"), ("collision_cap", "IdI"),
+        ("terminate_quorum", "IdII"), ("advance_quorum", "IdIId"))}
+    R = ensemble.R
+    # forests of three trees each, written by the ensemble writer with l_prime = 3
+    ensemble.forests = [build_forest(small, BitSampling(8), 4, 3, f.seed)
+                        for f in ensemble.forests]
+    ensemble.l_prime = 3
     ensemble_cases = {
         "ensemble-v1-short-header": patched(eblob, 8, "<I", 1)[:12],
         "ensemble-v2": patched(eblob, 8, "<I", 2),
+        "ensemble-v3": patched(eblob, 8, "<I", 3),
         "ensemble-inner-forest-v2": patched(eblob, forest1 + 8, "<I", 2),
         "ensemble-c-forests-negative": patched(eblob, config_at["c_forests"], "<d", -3.0),
         "ensemble-t-zero": patched(eblob, config_at["t"], "<I", 0),
@@ -374,7 +382,11 @@ def _payload_cases():
         "ensemble-collision-cap-zero": patched(eblob, config_at["collision_cap"], "<I", 0),
         "ensemble-truncated-header": eblob[:30],
         "ensemble-truncated-forest": eblob[:-5],
-        "ensemble-no-forests": patched(eblob, 12, "<I", 0),
+        "ensemble-no-forests": patched(eblob, forest1 + 30, "<I", 0),
+        "ensemble-l-prime-three": ensemble_to_bytes(ensemble),
+        "ensemble-l-prime-zero": patched(eblob, 12, "<I", 0),
+        # twice R's lowest set bit is a power of two that does not divide R
+        "ensemble-trees-not-a-multiple-of-l-prime": patched(eblob, 12, "<I", 2 * (R & -R)),
         "ensemble-unknown-family": patched(eblob, forest1 + 25, "<B", 9),
         "ensemble-inner-forest-v1": patched(eblob, forest1 + 8, "<I", 1),
         "ensemble-trailing-bytes": eblob + b"\0",
@@ -387,6 +399,7 @@ def _payload_cases():
     srp_cases = {
         "forest-nan-direction": patched(sblob, directions0 + 8, "<d", math.nan),
         "forest-infinite-direction": patched(sblob, directions0, "<d", -math.inf),
+        "forest-overflowing-direction": patched(sblob, directions0 + 16, "<d", -1.7e308),
     }
     return ([(name, forest_from_bytes, ds, p) for name, p in forest_cases.items()]
             + [(name, forest_from_bytes, angular, p) for name, p in srp_cases.items()]
@@ -397,7 +410,12 @@ _PAYLOAD_CASES = _payload_cases()
 
 
 @pytest.mark.parametrize("case", _PAYLOAD_CASES, ids=[c[0] for c in _PAYLOAD_CASES])
-def test_malformed_payloads_raise_format_error(case):
+def test_malformed_payloads_raise_format_error(monkeypatch, case):
     _, loader, dataset, payload = case
+
+    def no_hashing(*args):
+        raise AssertionError("a malformed payload was hashed before it was refused")
+
+    monkeypatch.setattr(forest_module, "pack_strings", no_hashing)
     with pytest.raises(FormatError):
         loader(payload, dataset)

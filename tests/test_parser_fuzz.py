@@ -50,7 +50,10 @@ def _payloads():
 
 
 _PAYLOADS = _payloads()
-_payload_case = pytest.mark.parametrize("case", _PAYLOADS, ids=[c[0] for c in _PAYLOADS])
+# Hashing a payload that loaded must not overflow: a RuntimeWarning fails the test.
+_payload_case = pytest.mark.parametrize("case", [
+    pytest.param(c, id=c[0], marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+    for c in _PAYLOADS])
 
 
 def _loads_correctly_or_format_error(loader, payload: bytes, dataset, data) -> None:
