@@ -37,7 +37,6 @@ from .families import (
 )
 from .forest import (
     Forest,
-    ForestTrie,
     build_forest,
     expected_collisions,
     forest_from_bytes,
@@ -72,7 +71,6 @@ __all__ = [
     "Forest",
     "FormatError",
     "ForestEnsemble",
-    "ForestTrie",
     "HashSpec",
     "LshFamily",
     "Metric",

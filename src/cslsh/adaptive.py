@@ -94,6 +94,8 @@ def build_ensemble(dataset: Dataset, family: LshFamily, K: int, L: int,
     """Build R = ``forests_for(n, config)`` forests of ``l_prime`` trees each,
     by default ``trees_per_forest(L, R)``; forest r draws its trees from the
     ("forest", r) child seed."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
     R = forests_for(dataset.n, config)
     if l_prime is None:
         l_prime = trees_per_forest(L, R)
@@ -140,7 +142,7 @@ class _QueryState:
     def cursor(self, f: int, tau: int) -> PrefixCursor:
         cur = self.cursors[f][tau]
         if cur is None:
-            cur = PrefixCursor(self.ensemble.forests[f].trees[tau], self.q, self.counters)
+            cur = PrefixCursor(self.ensemble.forests[f], tau, self.q, self.counters)
             self.cursors[f][tau] = cur
         return cur
 
@@ -252,7 +254,7 @@ class _CappedRun:
             return
         if self.level == 0:
             # The whole tree, without starting (and charging) a walk.
-            ids = state.ensemble.forests[self.f].trees[tau].order
+            ids = state.ensemble.forests[self.f].order[tau]
         else:
             ids = state.cursor(self.f, tau).bucket(self.level)
         if len(ids) == 0:
@@ -389,7 +391,7 @@ _ENS_HEADER = "<IdIIdd"  # l_prime, then AdaptiveConfig's fields in order
 
 
 def ensemble_to_bytes(ensemble: ForestEnsemble) -> bytes:
-    params = [tree.params for forest in ensemble.forests for tree in forest.trees]
+    params = np.concatenate([forest.params for forest in ensemble.forests])
     return (_ENS_MAGIC + struct.pack("<I", _ENS_VERSION)
             + struct.pack(_ENS_HEADER, ensemble.l_prime, *astuple(ensemble.config))
             + forest_payload(ensemble.dataset, ensemble.family, ensemble.seed, params))

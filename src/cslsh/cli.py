@@ -285,7 +285,7 @@ def _run_natural(forest, q, config):
     level = config["natural_level"]
     if level is None:
         level = static_level_choice(forest, q, config["static_c"])
-    trees = config["natural_trees"] or forest.L
+    trees = forest.L if config["natural_trees"] is None else config["natural_trees"]
     pid, work = natural_algorithm(forest, q, level, trees)
     return {"returned": int(pid), "level": level, "trees": trees, "work": work}
 
@@ -321,7 +321,8 @@ def cmd_build(args) -> int:
     if args.structure == "forest":
         forest = build_forest(dataset, family, config["k"], config["l"], seed.child("forest"))
         save_forest(forest, args.out)
-        depth = max(int(t.stored_depth(i)) for t in forest.trees for i in range(0, min(dataset.n, 8)))
+        depth = max(forest.stored_depth(j, i)
+                    for j in range(forest.L) for i in range(min(dataset.n, 8)))
         print(f"forest: L={forest.L} K={forest.K} sample_max_depth={depth}")
     else:
         ens = build_ensemble(

@@ -6,15 +6,19 @@ trie over those strings is never stored: the points whose strings share a
 length-i prefix are one contiguous range [start, end) of the sorted order, so
 a bucket is a slice of the order and its collision count a subtraction.
 
-A tree is its K members, one parameter array; ``ForestTrie`` derives its
-strings and order from them, at build and at load alike. ``PrefixCursor``
-hashes q against that array once, to its K-bit string, whose two longest
-common prefixes l1 >= l2 with the tree's strings fix the whole walk down q's
-path in closed form. The trie would stop at a leaf -- a single point, or
-depth K -- so a point's pointer lives at the shortest prefix of its string
-that is unique in the tree (one more than its second-longest common prefix,
-capped at K), exact duplicates are first-class, and the cost of the walk to
-any level follows from l1 and l2 alone.
+A forest is three stacked arrays, and tree j is row j of each: ``params``,
+the K members of every tree (``(L, K)`` coordinates or ``(L, K, dim)``
+directions); ``order``, the ``(L, n)`` point order; and ``strings``, the
+``(L, n)`` sorted strings in the narrowest unsigned type that holds K bits.
+The strings and order are derived from the members, at build and at load
+alike. ``PrefixCursor`` hashes q against one row of ``params`` once, to its
+K-bit string, whose two longest common prefixes l1 >= l2 with that row's
+strings fix the whole walk down q's path in closed form. The trie would stop
+at a leaf -- a single point, or depth K -- so a point's pointer lives at the
+shortest prefix of its string that is unique in the tree (one more than its
+second-longest common prefix, capped at K), exact duplicates are
+first-class, and the cost of the walk to any level follows from l1 and l2
+alone.
 """
 
 from __future__ import annotations
@@ -35,22 +39,24 @@ from .families import (
 )
 
 
-def prefix_range(strings, prefix: int, width: int, K: int) -> tuple[int, int]:
+def prefix_range(strings, prefix: int, width: int, K: int,
+                 lo: int = 0, hi: int | None = None) -> tuple[int, int]:
     """The range [start, end) of the sorted K-bit ``strings`` (a memoryview
-    or list of ints) whose top ``width`` bits equal ``prefix``."""
+    or list of ints), searched between positions ``lo`` and ``hi``, whose
+    top ``width`` bits equal ``prefix``."""
     shift = K - width
-    start = bisect_left(strings, prefix << shift)
-    return start, bisect_left(strings, (prefix + 1) << shift, start)
+    start = bisect_left(strings, prefix << shift, lo, hi)
+    return start, bisect_left(strings, (prefix + 1) << shift, start, hi)
 
 
-def common_prefixes(strings, s: int, K: int) -> tuple[int, int]:
+def common_prefixes(strings, s: int, K: int, lo: int, hi: int) -> tuple[int, int]:
     """(l1, l2), the longest and second-longest common prefixes of the K-bit
-    string ``s`` with the nonempty sorted K-bit ``strings`` (l2 = -1 when
-    there is one string). The common prefix grows up to s's insertion point
-    and shrinks from it, so both lie among the two strings on either side."""
-    pos = bisect_left(strings, s)
+    string ``s`` with the nonempty sorted K-bit ``strings[lo:hi]`` (l2 = -1
+    when there is one string). The common prefix grows up to s's insertion
+    point and shrinks from it, so both lie among the two strings on either side."""
+    pos = bisect_left(strings, s, lo, hi)
     l1 = l2 = -1
-    for x in strings[max(pos - 2, 0) : pos + 2]:
+    for x in strings[max(pos - 2, lo) : min(pos + 2, hi)]:
         lcp = K - (x ^ s).bit_length()
         if lcp > l1:
             l1, l2 = lcp, l1
@@ -59,14 +65,17 @@ def common_prefixes(strings, s: int, K: int) -> tuple[int, int]:
     return l1, l2
 
 
-def sort_strings(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(point order, sorted strings); equal strings keep ascending point ids."""
+def sort_strings(strings: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(point order, sorted strings) of K-bit ``strings``, the sorted strings
+    in the narrowest unsigned type that holds K bits; equal strings keep
+    ascending point ids."""
+    strings = strings.astype(np.min_scalar_type((1 << K) - 1), copy=False)
     order = np.argsort(strings, kind="stable").astype(np.int64, copy=False)
     return order, strings[order]
 
 
 class PrefixCursor:
-    """q's path down one tree, its cost in closed form.
+    """q's path down row j (0-based) of a forest, its cost in closed form.
 
     q's K-bit string ``qs`` is computed once, when the cursor is made, and
     ``range(i)`` is q's level-i prefix range, memoized per level. The walk
@@ -78,13 +87,17 @@ class PrefixCursor:
     level asked so far, charges the difference.
     """
 
-    __slots__ = ("tree", "counters", "strings", "qs", "lcps", "reach", "ranges")
+    __slots__ = ("counters", "strings", "lo", "hi", "K", "order", "qs", "lcps", "reach",
+                 "ranges")
 
-    def __init__(self, tree: "ForestTrie", q, counters: CostCounters):
-        self.tree = tree
+    def __init__(self, forest: "Forest", j: int, q, counters: CostCounters):
         self.counters = counters
-        self.strings = memoryview(tree.sorted_strings)
-        self.qs = tree.family.query_string(tree.params, q)
+        self.strings = forest.flat_strings
+        self.lo = j * forest.n  # row j's bounds in the flat strings
+        self.hi = self.lo + forest.n
+        self.K = forest.K
+        self.order = forest.order[j]
+        self.qs = forest.family.query_string(forest.params[j], q)
         self.lcps = None
         self.reach = 0
         self.ranges = {}
@@ -94,8 +107,9 @@ class PrefixCursor:
         """q's level-i range [start, end) in the tree's sorted order."""
         found = self.ranges.get(i)
         if found is None:
-            K = self.tree.K
-            found = self.ranges[i] = prefix_range(self.strings, self.qs >> (K - i), i, K)
+            lo, K = self.lo, self.K
+            start, end = prefix_range(self.strings, self.qs >> (K - i), i, K, lo, self.hi)
+            found = self.ranges[i] = (start - lo, end - lo)
         if i > self.reach:
             r, self.reach = self.reach, i
             if found[1] - found[0] >= 2:
@@ -104,7 +118,7 @@ class PrefixCursor:
                 self.counters.nodes_visited += i - r
                 return found
             if self.lcps is None:
-                self.lcps = common_prefixes(self.strings, self.qs, self.tree.K)
+                self.lcps = common_prefixes(self.strings, self.qs, self.K, self.lo, self.hi)
             l1, l2 = self.lcps
             cap = min(l2 + 1, l1)
             self.counters.hash_evaluations += min(i, l1 + 1) - min(r, l1 + 1)
@@ -117,54 +131,47 @@ class PrefixCursor:
 
     def bucket(self, i: int) -> np.ndarray:
         lo, hi = self.range(i)
-        return self.tree.order[lo:hi]
-
-
-class ForestTrie:
-    """One tree of the forest: its K members as one parameter array, and the
-    dataset's strings under them, sorted, with the point order beside them."""
-
-    __slots__ = ("index", "K", "n", "family", "params", "order", "sorted_strings")
-
-    def __init__(self, index: int, family: LshFamily, params: np.ndarray, dataset: Dataset):
-        self.index = index
-        self.K = len(params)
-        self.n = dataset.n
-        self.family = family
-        self.params = params
-        self.order, self.sorted_strings = sort_strings(pack_strings(self.members, dataset))
-
-    @property
-    def members(self) -> list[HashSpec]:
-        """The K members as per-member reference hashes, level 1 first."""
-        return [HashSpec(self.family, p) for p in self.params]
-
-    def stored_depth(self, point_id: int) -> int:
-        """Depth of the leaf holding a point, its shortest unique prefix: one
-        more than its string's second-longest common prefix over the tree
-        (its own is the longest), capped at K; 0 in a one-point tree."""
-        if not 0 <= point_id < self.n:
-            raise ValueError(f"point id {point_id} out of range [0, {self.n})")
-        strings = memoryview(self.sorted_strings)
-        s = strings[int(np.flatnonzero(self.order == point_id)[0])]
-        return min(self.K, common_prefixes(strings, s, self.K)[1] + 1)
+        return self.order[lo:hi]
 
 
 class Forest:
-    """L independent tries of depth K over one dataset, one per parameter
-    array of K members in ``params``."""
+    """L independent tries of depth K over one dataset: tree j is row j of
+    the stacked member ``params``, point ``order`` and sorted ``strings``."""
 
-    def __init__(self, dataset: Dataset, family: LshFamily, seed: RngSeed,
-                 params: list[np.ndarray]):
+    def __init__(self, dataset: Dataset, family: LshFamily, seed: RngSeed, params: np.ndarray):
         self.dataset = dataset
         self.family = family
         self.seed = seed
-        self.trees = [ForestTrie(j, family, p, dataset) for j, p in enumerate(params)]
-        self.K = self.trees[0].K
-        self.L = len(self.trees)
+        self.params = params
+        self.L, self.K = params.shape[:2]
+        self.n = dataset.n
+        order, strings = zip(*(sort_strings(pack_strings(self.members(j), dataset), self.K)
+                               for j in range(self.L)))
+        self.order, self.strings = np.stack(order), np.stack(strings)
+        self.flat_strings = memoryview(self.strings.reshape(-1))
 
-    def _static_range(self, j: int, i: int, q,
-                      counters: CostCounters | None) -> tuple[ForestTrie, int, int]:
+    def _check_row(self, j: int) -> None:
+        if not 0 <= j < self.L:
+            raise ValueError(f"tree row {j} out of range [0, {self.L})")
+
+    def members(self, j: int) -> list[HashSpec]:
+        """The K members of row j (0-based) as per-member reference hashes,
+        level 1 first."""
+        self._check_row(j)
+        return [HashSpec(self.family, p) for p in self.params[j]]
+
+    def stored_depth(self, j: int, point_id: int) -> int:
+        """Depth of the leaf holding a point in row j (0-based), its shortest
+        unique prefix: one more than its string's second-longest common prefix
+        over the tree (its own is the longest), capped at K; 0 in a one-point tree."""
+        self._check_row(j)
+        if not 0 <= point_id < self.n:
+            raise ValueError(f"point id {point_id} out of range [0, {self.n})")
+        lo = j * self.n
+        s = self.flat_strings[lo + int(np.flatnonzero(self.order[j] == point_id)[0])]
+        return min(self.K, common_prefixes(self.flat_strings, s, self.K, lo, lo + self.n)[1] + 1)
+
+    def _static_range(self, j: int, i: int, q, counters: CostCounters | None) -> tuple[int, int]:
         """Tree j's range [start, end) of q's level-i prefix by a fresh walk,
         at the cost of a static scan: all i hash bits and the nodes on the path.
         Level 0 is the whole tree and costs nothing."""
@@ -173,27 +180,26 @@ class Forest:
         if not 0 <= i <= self.K:
             raise ValueError(f"level {i} out of range [0, {self.K}]")
         q = self.dataset.check_query(q)
-        tree = self.trees[j - 1]
         if i == 0:
-            return tree, 0, tree.n
-        cursor = PrefixCursor(tree, q, CostCounters() if counters is None else counters)
+            return 0, self.n
+        cursor = PrefixCursor(self, j - 1, q, CostCounters() if counters is None else counters)
         lo, hi = cursor.range(i)
         if lo == hi:  # the walk ends at level l1 + 1
             cursor.counters.hash_evaluations += i - cursor.lcps[0] - 1
-        return tree, lo, hi
+        return lo, hi
 
     def bucket(self, j: int, i: int, q, counters: CostCounters | None = None) -> np.ndarray:
         """Ids of S_{i,j}(q), the points whose length-i hash prefix in tree j
         (1-indexed) matches q's, in trie order: by hash string, then by id.
         Level 0 is every point."""
-        tree, lo, hi = self._static_range(j, i, q, counters)
+        lo, hi = self._static_range(j, i, q, counters)
         if counters is not None:
             counters.buckets_opened += 1
-        return tree.order[lo:hi]
+        return self.order[j - 1, lo:hi]
 
     def collision_count(self, j: int, i: int, q, counters: CostCounters | None = None) -> int:
         """|S_{i,j}(q)|, the size of q's level-i range, without enumerating it."""
-        _, lo, hi = self._static_range(j, i, q, counters)
+        lo, hi = self._static_range(j, i, q, counters)
         return hi - lo
 
 
@@ -206,7 +212,8 @@ def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,
     if K > 64:
         raise ValueError("packed strings support at most K = 64 levels")
     family.check_compatible(dataset)
-    params = [stack_params(family.sample_members(seed.child("tree", j), K)) for j in range(L)]
+    params = np.stack([stack_params(family.sample_members(seed.child("tree", j), K))
+                       for j in range(L)])
     return Forest(dataset, family, seed, params)
 
 
@@ -225,10 +232,11 @@ def expected_collisions(dataset: Dataset, family: LshFamily, q, i: int) -> float
 # Serialization: versioned binary layout, little-endian throughout.
 #
 # v3 layout: magic, header (version, n, dim, metric, family, K, L), the seed,
-# then per tree only its member parameters (<u4 coordinates or <f8
-# directions); loading rehashes the dataset under them. An ensemble payload
-# ends in one such payload of all its trees. v1 (trie node arrays) and v2
-# (per-tree point order and sorted strings) payloads are rejected.
+# then the stacked member parameters of all L trees, tree by tree (<u4
+# coordinates or <f8 directions, the bytes of the forest's ``params``);
+# loading rehashes the dataset under them. An ensemble payload ends in one
+# such payload of all its trees. v1 (trie node arrays) and v2 (per-tree point
+# order and sorted strings) payloads are rejected.
 
 _MAGIC = b"CSLSHFOR"
 _VERSION = 3
@@ -303,44 +311,23 @@ def _read_seed(reader: PayloadReader) -> RngSeed:
 
 
 def forest_payload(dataset: Dataset, family: LshFamily, seed: RngSeed,
-                   params: list[np.ndarray]) -> bytes:
-    """The v3 payload of trees with member parameters ``params``."""
+                   params: np.ndarray) -> bytes:
+    """The v3 payload of trees with stacked member parameters ``params``."""
+    L, K = params.shape[:2]
     header = _MAGIC + struct.pack("<I", _VERSION) + struct.pack(
-        _HEADER,
-        dataset.n,
-        dataset.dim,
-        _METRIC_CODE[dataset.metric],
-        _FAMILY_CODE[family.kind],
-        len(params[0]),
-        len(params),
+        _HEADER, dataset.n, dataset.dim, _METRIC_CODE[dataset.metric],
+        _FAMILY_CODE[family.kind], K, L,
     )
-    parts = [header, _seed_bytes(seed)]
     param_dtype = "<u4" if isinstance(family, BitSampling) else "<f8"
-    for p in params:
-        parts.append(p.astype(param_dtype).tobytes())
-    return b"".join(parts)
+    return header + _seed_bytes(seed) + params.astype(param_dtype).tobytes()
 
 
 def forest_to_bytes(forest: Forest) -> bytes:
-    return forest_payload(forest.dataset, forest.family, forest.seed,
-                          [tree.params for tree in forest.trees])
+    return forest_payload(forest.dataset, forest.family, forest.seed, forest.params)
 
 
-def _read_params(reader: PayloadReader, family: LshFamily, K: int) -> np.ndarray:
-    """One tree's K member parameters; coordinates are checked to lie below
-    the dimension."""
-    dim = family.dim
-    if isinstance(family, BitSampling):
-        params = reader.array("<u4", K).astype(np.int64)
-        if (params >= dim).any():
-            raise FormatError("bit-sampling coordinate out of range")
-    else:
-        params = reader.array("<f8", K * dim).reshape(K, dim)
-    return params
-
-
-def read_forest_payload(data, dataset: Dataset) -> tuple[LshFamily, RngSeed, list[np.ndarray]]:
-    """A forest payload's family, seed and per-tree member parameters, read
+def read_forest_payload(data, dataset: Dataset) -> tuple[LshFamily, RngSeed, np.ndarray]:
+    """A forest payload's family, seed and stacked member parameters, read
     and checked to the last byte; nothing is hashed yet."""
     reader = PayloadReader(data, "forest")
     reader.magic_and_version(_MAGIC, _VERSION)
@@ -355,7 +342,12 @@ def read_forest_payload(data, dataset: Dataset) -> tuple[LshFamily, RngSeed, lis
     if not (1 <= K <= 64 and L >= 1):
         raise FormatError(f"bad forest shape K={K} L={L}")
     seed = _read_seed(reader)
-    params = [_read_params(reader, family, K) for _ in range(L)]
+    if isinstance(family, BitSampling):
+        params = reader.array("<u4", L * K).astype(np.int64).reshape(L, K)
+        if (params >= dim).any():
+            raise FormatError("bit-sampling coordinate out of range")
+    else:
+        params = reader.array("<f8", L * K * dim).reshape(L, K, dim)
     reader.finish()
     if isinstance(family, SignRandomProjection):
         # |<x, d>| <= max_k |d_k| * |x|_1, so below the float64 maximum no

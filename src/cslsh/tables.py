@@ -37,7 +37,7 @@ class HashTable:
     def __init__(self, index: int, members: list[HashSpec], dataset: Dataset):
         self.index = index
         self.params = stack_params(members)
-        self.order, self.values = sort_strings(pack_strings(members, dataset))
+        self.order, self.values = sort_strings(pack_strings(members, dataset), len(members))
 
     def bucket_ids(self, value: int) -> np.ndarray:
         """Ids of the points whose concatenated value equals ``value``."""
@@ -148,8 +148,8 @@ class TableSequence:
         at most delta * ceil(log2 n)."""
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if L > self.l_max:
-            raise ValueError("L exceeds l_max")
+        if not 1 <= L <= self.l_max:
+            raise ValueError(f"L must lie in [1, l_max={self.l_max}]")
         t = max(1, math.ceil(math.log2(1.0 / delta)))
         q = self.dataset.check_query(seq_q)
         rng = (seed or self.seed.child("query")).generator()
@@ -165,7 +165,7 @@ class TableSequence:
                     best = sample
                 if state.update(sample):
                     return NnResult(state.best[1], counters, True, t)
-        return NnResult(best[1] if best else -1, counters, False, t)
+        return NnResult(best[1], counters, False, t)
 
 
 def default_k_cat(dataset: Dataset, family: LshFamily, seed: RngSeed,

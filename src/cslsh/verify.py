@@ -377,7 +377,7 @@ def check_forest_structure() -> list[CheckResult]:
 
         for q in queries:
             for j in range(1, L + 1):
-                members = forest.trees[j - 1].members
+                members = forest.members(j - 1)
                 for i in range(0, K + 1):
                     got = sorted(forest.bucket(j, i, q).tolist())
                     want = sorted(naive_prefix_filter(members, ds, q, i).tolist())

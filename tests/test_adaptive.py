@@ -50,6 +50,13 @@ def test_ensemble_shape():
         build_ensemble(ds, BitSampling(16), 8, 64, SEED, l_prime=3)
 
 
+@pytest.mark.parametrize("L", [0, -4])
+def test_build_ensemble_rejects_fewer_than_one_tree(L):
+    ds = hamming_set(SEED.child("no-trees").generator(), 20, 16)
+    with pytest.raises(ValueError):
+        build_ensemble(ds, BitSampling(16), 8, L, SEED)
+
+
 def test_trees_per_forest_power_of_two():
     assert trees_per_forest(512, 45) == 8
     assert trees_per_forest(100, 45) == 2

@@ -161,6 +161,22 @@ def test_natural_algorithm_config():
     assert row["work"] == 64
 
 
+@pytest.mark.parametrize("args", [
+    ["--algorithm", "budgeted-cs", "--k-cat", "8", "-l", "0", "--l-max", "32"],
+    ["--algorithm", "forest-adaptive", "-k", "8", "-l", "0"],
+    ["--algorithm", "forest-adaptive", "-k", "8", "-l", "-4"],
+    ["--algorithm", "natural", "-k", "8", "-l", "4", "--natural-trees", "0"],
+], ids=["budgeted-no-tables", "adaptive-no-trees", "adaptive-negative-trees",
+        "natural-no-trees"])
+def test_a_query_over_no_tables_or_trees_is_refused(tmp_path, capsys, args):
+    rc = main([
+        "query", "--instance", "planted-nn", "-n", "64", "--dim", "32", "--queries", "3",
+        *args, "--out", str(tmp_path / "r.jsonl"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     rc = main([
         "query", "--instance", "uniform-hamming", "-n", "16", "--dim", "8",

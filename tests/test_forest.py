@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cslsh import forest as forest_module
 from cslsh.core import CostCounters, Dataset, Metric, RngSeed, _pack_bits
-from cslsh.families import BitSampling, SignRandomProjection
+from cslsh.families import BitSampling, SignRandomProjection, pack_strings
 from cslsh.forest import (
     FormatError,
     PrefixCursor,
@@ -31,37 +31,67 @@ def random_instance(rng, n, dim):
 def test_single_point_lives_at_the_root_and_is_always_found():
     ds = Dataset.from_bits(np.array([[1, 0, 1, 0]], dtype=np.uint8))
     forest = build_forest(ds, BitSampling(4), K=4, L=2, seed=SEED.child("single"))
-    for tree in forest.trees:
-        assert tree.stored_depth(0) == 0  # the empty prefix is already unique
+    for j in range(forest.L):
+        assert forest.stored_depth(j, 0) == 0  # the empty prefix is already unique
         for i in range(5):
-            assert forest.bucket(tree.index + 1, i, ds.point(0)).tolist() == [0]
+            assert forest.bucket(j + 1, i, ds.point(0)).tolist() == [0]
 
 
 def test_identical_points_share_a_depth_k_leaf():
     ds = Dataset.from_bits(np.tile(np.array([[1, 0, 1, 0]], dtype=np.uint8), (6, 1)))
     forest = build_forest(ds, BitSampling(4), K=3, L=2, seed=SEED.child("dup"))
-    for tree in forest.trees:
+    for j in range(forest.L):
         for pid in range(6):
-            assert tree.stored_depth(pid) == 3
-        assert sorted(forest.bucket(tree.index + 1, 3, ds.point(0)).tolist()) == list(range(6))
+            assert forest.stored_depth(j, pid) == 3
+        assert sorted(forest.bucket(j + 1, 3, ds.point(0)).tolist()) == list(range(6))
 
 
 def test_stored_depth_matches_naive_shortest_unique_prefix():
     rng = SEED.child("depth").generator()
     ds = random_instance(rng, 8, 8)
     forest = build_forest(ds, BitSampling(8), K=8, L=3, seed=SEED.child("depth-f"))
-    for tree in forest.trees:
-        strings = [int(tree.sorted_strings[np.flatnonzero(tree.order == pid)[0]]) for pid in range(8)]
+    for j in range(forest.L):
+        row, order = forest.strings[j], forest.order[j]
+        strings = [int(row[np.flatnonzero(order == pid)[0]]) for pid in range(8)]
         for pid in range(8):
-            assert tree.stored_depth(pid) == naive_shortest_unique_prefix(strings, 8, pid)
+            assert forest.stored_depth(j, pid) == naive_shortest_unique_prefix(strings, 8, pid)
 
 
 @pytest.mark.parametrize("point_id", [-1, 8])
 def test_stored_depth_rejects_an_id_outside_the_dataset(point_id):
     ds = random_instance(SEED.child("depth-id").generator(), 8, 8)
-    tree = build_forest(ds, BitSampling(8), K=8, L=1, seed=SEED.child("depth-id-f")).trees[0]
+    forest = build_forest(ds, BitSampling(8), K=8, L=1, seed=SEED.child("depth-id-f"))
     with pytest.raises(ValueError):
-        tree.stored_depth(point_id)
+        forest.stored_depth(0, point_id)
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_row_calls_reject_a_row_outside_the_forest(j):
+    # rows are 0-based: j = -1 must not wrap round to the last tree
+    ds = random_instance(SEED.child("row").generator(), 8, 8)
+    forest = build_forest(ds, BitSampling(8), K=8, L=2, seed=SEED.child("row-f"))
+    with pytest.raises(ValueError):
+        forest.stored_depth(j, 0)
+    with pytest.raises(ValueError):
+        forest.members(j)
+
+
+@pytest.mark.parametrize("K, width", [(1, np.uint8), (8, np.uint8), (9, np.uint16),
+                                      (16, np.uint16), (17, np.uint32), (32, np.uint32),
+                                      (33, np.uint64), (64, np.uint64)])
+def test_rows_are_stacked_and_strings_use_the_width_k_needs(K, width):
+    rng = SEED.child("width").generator()
+    ds = random_instance(rng, 20, 70)
+    forest = build_forest(ds, BitSampling(70), K=K, L=3, seed=SEED.child("width-f", K))
+    assert forest.params.shape == (3, K)
+    assert forest.order.shape == forest.strings.shape == (3, 20)
+    assert forest.order.dtype == np.int64
+    assert forest.strings.dtype == width
+    for j in range(3):
+        # row j holds tree j's strings, sorted, each the string of its point
+        want = pack_strings(forest.members(j), ds)
+        assert np.array_equal(forest.strings[j], want[forest.order[j]])
+        assert np.all(forest.strings[j][:-1] <= forest.strings[j][1:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -72,7 +102,7 @@ def test_bucket_equals_naive_filter(n, dim, K, seed):
     forest = build_forest(ds, BitSampling(dim), K=K, L=2, seed=RngSeed(seed).child("f"))
     q = _pack_bits(rng.integers(0, 2, size=(1, dim), dtype=np.uint8))[0]
     for j in (1, 2):
-        members = forest.trees[j - 1].members
+        members = forest.members(j - 1)
         for i in range(K + 1):
             got = sorted(forest.bucket(j, i, q).tolist())
             assert got == sorted(naive_prefix_filter(members, ds, q, i).tolist())
@@ -96,16 +126,16 @@ def test_subtree_counts_partition_children():
     ds = random_instance(rng, 50, 8)
     K = 6
     forest = build_forest(ds, BitSampling(8), K=K, L=2, seed=SEED.child("part-f"))
-    for tree in forest.trees:
-        strings = memoryview(tree.sorted_strings)
+    strings = forest.flat_strings
+    for lo, hi in ((0, 50), (50, 100)):  # each row's bounds in the flat strings
         for width in range(K):
             for p in range(1 << width):
-                start, end = prefix_range(strings, p, width, K)
-                lo0, hi0 = prefix_range(strings, p << 1, width + 1, K)
-                lo1, hi1 = prefix_range(strings, p << 1 | 1, width + 1, K)
+                start, end = prefix_range(strings, p, width, K, lo, hi)
+                lo0, hi0 = prefix_range(strings, p << 1, width + 1, K, lo, hi)
+                lo1, hi1 = prefix_range(strings, p << 1 | 1, width + 1, K, lo, hi)
                 assert (lo0, hi0, hi1) == (start, lo1, end)
                 assert (hi0 - lo0) + (hi1 - lo1) == end - start
-        assert prefix_range(strings, 0, 0, K) == (0, 50)
+        assert prefix_range(strings, 0, 0, K, lo, hi) == (lo, hi)
 
 
 def test_cost_contract_node_visits():
@@ -126,7 +156,7 @@ def test_enumeration_order_is_trie_then_id():
     ds = Dataset.from_bits(bits)
     forest = build_forest(ds, BitSampling(4), K=4, L=1, seed=SEED.child("ord"))
     ids = forest.bucket(1, 0, ds.point(0))
-    leaves = [forest.trees[0].stored_depth(p) for p in range(5)]
+    leaves = [forest.stored_depth(0, p) for p in range(5)]
     assert leaves == [4, 4, 4, 4, 4]
     # the two duplicate groups each appear contiguously, ids ascending inside
     as_list = ids.tolist()
@@ -220,10 +250,9 @@ def test_loaded_trees_rehash_to_the_built_strings_and_order(family):
     header = 12 + struct.calcsize("<QIBBII")  # magic, version, shape
     assert len(blob) == header + len(_seed_bytes(forest.seed)) + L * tree_bytes
     loaded = forest_from_bytes(blob, ds)
-    for built, again in zip(forest.trees, loaded.trees, strict=True):
-        assert np.array_equal(built.params, again.params)
-        assert np.array_equal(built.order, again.order)
-        assert np.array_equal(built.sorted_strings, again.sorted_strings)
+    for name in ("params", "order", "strings"):
+        built, again = getattr(forest, name), getattr(loaded, name)
+        assert built.dtype == again.dtype and np.array_equal(built, again)
 
 
 def test_build_validation():
@@ -269,8 +298,7 @@ def test_level_zero_is_the_whole_tree_and_walks_nothing():
     forest = build_forest(ds, BitSampling(16), K=8, L=3, seed=SEED.child("zero-f"))
     counters = CostCounters()
     for j in (1, 2, 3):
-        tree = forest.trees[j - 1]
-        assert forest.bucket(j, 0, ds.point(5), counters).tolist() == tree.order.tolist()
+        assert forest.bucket(j, 0, ds.point(5), counters).tolist() == forest.order[j - 1].tolist()
         assert forest.collision_count(j, 0, ds.point(5), counters) == 40
     assert counters == CostCounters(buckets_opened=3)
 
@@ -301,31 +329,33 @@ def test_cursor_charges_match_the_reference_walk(data):
     rows = rng.integers(0, 2, size=(pool, dim), dtype=np.uint8)
     bits = rows[rng.integers(0, pool, size=n)]
     ds = Dataset.from_bits(bits)
-    forest = build_forest(ds, BitSampling(dim), K=K, L=1, seed=RngSeed(seed).child("ref"))
-    tree = forest.trees[0]
+    # a row j > 0 of a stacked forest, so a search past the row's bounds would show
+    L = data.draw(st.integers(2, 4), label="L")
+    j = data.draw(st.integers(1, L - 1), label="row")
+    forest = build_forest(ds, BitSampling(dim), K=K, L=L, seed=RngSeed(seed).child("ref"))
     if data.draw(st.booleans(), label="near a point"):
         qbits = bits[int(rng.integers(n))].copy()
         qbits[rng.integers(0, dim, size=int(rng.integers(0, 4)))] ^= 1
     else:
         qbits = rng.integers(0, 2, size=dim, dtype=np.uint8)
     q = _pack_bits(qbits[None, :])[0]
-    strings = [int(x) for x in tree.sorted_strings]
-    qs = tree.family.query_string(tree.params, q)
+    strings = [int(x) for x in forest.strings[j]]
+    qs = forest.family.query_string(forest.params[j], q)
     counters = CostCounters()
-    cursor = PrefixCursor(tree, q, counters)
+    cursor = PrefixCursor(forest, j, q, counters)
     reach = 0
     levels = data.draw(st.lists(st.integers(0, K), min_size=1, max_size=10), label="levels")
     for i in levels:
         reach = max(reach, i)
         positions, _, walk_nodes = _reference_walk(strings, qs, K, i)
-        want = tree.order[positions].tolist()
+        want = forest.order[j][positions].tolist()
         assert cursor.bucket(i).tolist() == want
         _, hashes, nodes = _reference_walk(strings, qs, K, reach)
         assert (counters.hash_evaluations, counters.nodes_visited) == (hashes, nodes)
         # a static scan charges all i bits, and at level 0 walks nothing
         static = CostCounters()
-        assert forest.bucket(1, i, q, static).tolist() == want
-        assert forest.collision_count(1, i, q) == len(want)
+        assert forest.bucket(j + 1, i, q, static).tolist() == want
+        assert forest.collision_count(j + 1, i, q) == len(want)
         assert (static.hash_evaluations, static.nodes_visited) == ((i, walk_nodes) if i else (0, 0))
 
 

@@ -72,11 +72,11 @@ def _loads_correctly_or_format_error(loader, payload: bytes, dataset, data) -> N
     queries = [dataset.point(p) for p in range(dataset.n)] + [q]
     forests = loaded.forests if isinstance(loaded, ForestEnsemble) else [loaded]
     for forest in forests:
-        for j, tree in enumerate(forest.trees, 1):
+        for j in range(forest.L):
             for x in queries:
                 for i in range(forest.K + 1):
-                    want = naive_prefix_filter(tree.members, dataset, x, i).tolist()
-                    assert sorted(forest.bucket(j, i, x).tolist()) == want
+                    want = naive_prefix_filter(forest.members(j), dataset, x, i).tolist()
+                    assert sorted(forest.bucket(j + 1, i, x).tolist()) == want
 
 
 def _parses_or_value_error(parse, *args) -> None:

@@ -161,6 +161,22 @@ def test_budgeted_immediate_when_p1_is_one():
     assert res.stats.buckets_opened == res.t + 1  # first round suffices
 
 
+@pytest.mark.parametrize("L", [0, -3, 9])
+def test_budgeted_rejects_a_table_count_outside_one_to_l_max(L):
+    ds = Dataset.from_bits(np.eye(8, dtype=np.uint8))
+    seq = make_seq(ds, k_cat=2, l_max=8, tag="bud-L")
+    with pytest.raises(ValueError):
+        seq.query_nn_budgeted(ds.point(0), delta=0.25, L=L)
+    assert seq._tables == {}  # refused before any table was built
+
+
+def test_table_values_use_the_width_k_cat_needs():
+    ds = Dataset.from_bits(np.eye(40, dtype=np.uint8))
+    for k_cat, width in ((8, np.uint8), (9, np.uint16), (17, np.uint32), (33, np.uint64)):
+        tab = make_seq(ds, k_cat=k_cat, tag="width").table(1)
+        assert tab.values.dtype == width and tab.order.dtype == np.int64
+
+
 def test_budgeted_recall_on_planted():
     spec = InstanceSpec("planted-nn", n=256, dim=32, n_queries=1500, seed=19,
                         planted_distance=1, shell_min_distance=8)
