@@ -1,15 +1,17 @@
 """The fully adaptive, parameter-free LSH Forest query.
 
 The query operates on R = Theta(log n) independent forests of L' trees each
-(L' a power of two). For j = 1, 2, 4, ..., L' it measures collision counts
-top-down to find the smallest level i at which the first j trees stay within
-a 10*i*j collision budget in at least half of the forests, then runs
-budget-capped confirmation sampling at levels i and i-1 in every forest. It
-reports the closest point seen as soon as the sampling terminates in a
-quarter of the forests at either level. If the tree budget runs out first, a
-bottom-up phase sweeps the forests in lock-step, dropping one level (and
-restarting the sampling) whenever half of the searches have consumed their
-last tree; level 0 scans the whole dataset, so termination is certain.
+(L' a power of two), held as the rows of one stacked ``Forest``: forest r is
+rows r * L' ... (r + 1) * L' - 1, and its tree tau is row r * L' + tau. For
+j = 1, 2, 4, ..., L' it measures collision counts top-down to find the
+smallest level i at which the first j trees stay within a 10*i*j collision
+budget in at least half of the forests, then runs budget-capped confirmation
+sampling at levels i and i-1 in every forest. It reports the closest point
+seen as soon as the sampling terminates in a quarter of the forests at
+either level. If the tree budget runs out first, a bottom-up phase sweeps
+the forests in lock-step, dropping one level (and restarting the sampling)
+whenever half of the searches have consumed their last tree; level 0 scans
+the whole dataset, so termination is certain.
 
 Nothing here ever evaluates a collision probability; the only structural
 requirement is that the family's collision probability is non-increasing in
@@ -30,14 +32,8 @@ from .core import (
     CostCounters, Dataset, FormatError, Metric, RngSeed, order_minimum, uniform_draw,
 )
 from .families import LshFamily
-from .forest import (
-    Forest,
-    PayloadReader,
-    PrefixCursor,
-    build_forest,
-    forest_payload,
-    read_forest_payload,
-)
+from .forest import Forest, PayloadReader, PrefixCursor, forest_to_bytes, read_forest_payload
+from .forest import build_forest  # unused here; perfbench/spans.py patches this binding
 
 
 @dataclass(frozen=True)
@@ -73,27 +69,32 @@ def trees_per_forest(L: int, R: int) -> int:
 
 
 class ForestEnsemble:
-    """R forests of l_prime trees each over one dataset, family and depth K,
-    with the config and seed they were built under; ``build_ensemble`` builds one."""
+    """R forests of l_prime trees each, stacked as the rows of one ``forest``
+    (forest r is rows r * l_prime ... (r + 1) * l_prime - 1), with the config
+    they were built under; ``build_ensemble`` builds one."""
 
-    def __init__(self, forests: list[Forest], config: AdaptiveConfig, seed: RngSeed):
-        first = forests[0]
-        self.dataset = first.dataset
-        self.family = first.family
-        self.K = first.K
-        self.l_prime = first.L
-        self.R = len(forests)
-        self.forests = forests
+    def __init__(self, forest: Forest, l_prime: int, config: AdaptiveConfig):
+        self.forest = forest
+        self.dataset = forest.dataset
+        self.family = forest.family
+        self.K = forest.K
+        self.seed = forest.seed
+        self.l_prime = l_prime
+        self.R = forest.L // l_prime
         self.config = config
-        self.seed = seed
+
+    @property
+    def forests(self) -> list[Forest]:
+        """The R forests, as views of the stack's rows."""
+        return [self.forest.rows(r * self.l_prime, (r + 1) * self.l_prime) for r in range(self.R)]
 
 
 def build_ensemble(dataset: Dataset, family: LshFamily, K: int, L: int,
                    seed: RngSeed, config: AdaptiveConfig = AdaptiveConfig(),
                    l_prime: int | None = None) -> ForestEnsemble:
     """Build R = ``forests_for(n, config)`` forests of ``l_prime`` trees each,
-    by default ``trees_per_forest(L, R)``; forest r draws its trees from the
-    ("forest", r) child seed."""
+    by default ``trees_per_forest(L, R)``, as one stacked forest; tree j of
+    forest r draws its members from the ("forest", r), ("tree", j) child seed."""
     if L < 1:
         raise ValueError("L must be >= 1")
     R = forests_for(dataset.n, config)
@@ -101,9 +102,9 @@ def build_ensemble(dataset: Dataset, family: LshFamily, K: int, L: int,
         l_prime = trees_per_forest(L, R)
     if l_prime < 1 or l_prime & (l_prime - 1):
         raise ValueError("trees per forest must be a positive power of two")
-    forests = [build_forest(dataset, family, K, l_prime, seed.child("forest", r))
-               for r in range(R)]
-    return ForestEnsemble(forests, config, seed)
+    params = np.array([family.sample_params(seed.child("forest", r).child("tree", j), K)
+                       for r in range(R) for j in range(l_prime)])
+    return ForestEnsemble(Forest(dataset, family, seed, params), l_prime, config)
 
 
 @dataclass
@@ -130,9 +131,7 @@ class _QueryState:
         self.dataset = ds = ensemble.dataset
         self.q = ensemble.dataset.check_query(q)
         self.counters = CostCounters()
-        self.cursors = [
-            [None] * ensemble.l_prime for _ in range(ensemble.R)
-        ]
+        self.cursors = [None] * ensemble.forest.L  # one per row, made on its first use
         self.seed = seed
         self.rngs = [None] * ensemble.R  # a forest's fallback stream, made on its first draw
         self.memo = np.full(ds.n, -1, np.int64 if ds.metric is Metric.HAMMING else np.float64)
@@ -140,10 +139,11 @@ class _QueryState:
         self.rounds_spread = 0
 
     def cursor(self, f: int, tau: int) -> PrefixCursor:
-        cur = self.cursors[f][tau]
+        row = f * self.ensemble.l_prime + tau
+        cur = self.cursors[row]
         if cur is None:
-            cur = PrefixCursor(self.ensemble.forests[f], tau, self.q, self.counters)
-            self.cursors[f][tau] = cur
+            cur = self.cursors[row] = PrefixCursor(self.ensemble.forest, row, self.q,
+                                                   self.counters)
         return cur
 
     def _track(self, key) -> None:
@@ -254,7 +254,7 @@ class _CappedRun:
             return
         if self.level == 0:
             # The whole tree, without starting (and charging) a walk.
-            ids = state.ensemble.forests[self.f].order[tau]
+            ids = state.ensemble.forest.order[self.f * state.ensemble.l_prime + tau]
         else:
             ids = state.cursor(self.f, tau).bucket(self.level)
         if len(ids) == 0:
@@ -381,9 +381,9 @@ def adaptive_nearest_neighbor(ensemble: ForestEnsemble, q,
 
 # ---------------------------------------------------------------------------
 # Ensemble serialization, v4: magic, version, l_prime and the five config
-# fields, then one forest payload of all T = R * l_prime trees under the
-# ensemble's seed. Forest r is trees r * l_prime ... (r + 1) * l_prime - 1,
-# with seed ("forest", r) below the ensemble's. v1-v3 payloads are rejected.
+# fields, then the forest payload of the ensemble's stacked forest of all
+# T = R * l_prime trees, under the ensemble's seed. Forest r is trees
+# r * l_prime ... (r + 1) * l_prime - 1. v1-v3 payloads are rejected.
 
 _ENS_MAGIC = b"CSLSHENS"
 _ENS_VERSION = 4
@@ -391,10 +391,9 @@ _ENS_HEADER = "<IdIIdd"  # l_prime, then AdaptiveConfig's fields in order
 
 
 def ensemble_to_bytes(ensemble: ForestEnsemble) -> bytes:
-    params = np.concatenate([forest.params for forest in ensemble.forests])
     return (_ENS_MAGIC + struct.pack("<I", _ENS_VERSION)
             + struct.pack(_ENS_HEADER, ensemble.l_prime, *astuple(ensemble.config))
-            + forest_payload(ensemble.dataset, ensemble.family, ensemble.seed, params))
+            + forest_to_bytes(ensemble.forest))
 
 
 def ensemble_from_bytes(data: bytes, dataset: Dataset) -> ForestEnsemble:
@@ -409,10 +408,8 @@ def ensemble_from_bytes(data: bytes, dataset: Dataset) -> ForestEnsemble:
     if l_prime < 1 or l_prime & (l_prime - 1) or len(params) % l_prime:
         raise FormatError(f"l_prime={l_prime} is not a power of two that divides "
                           f"the {len(params)} trees")
-    # Every parameter is read and checked before any forest hashes the dataset.
-    forests = [Forest(dataset, family, seed.child("forest", r), params[i : i + l_prime])
-               for r, i in enumerate(range(0, len(params), l_prime))]
-    return ForestEnsemble(forests, config, seed)
+    # Every parameter is read and checked before the forest hashes the dataset.
+    return ForestEnsemble(Forest(dataset, family, seed, params), l_prime, config)
 
 
 def save_ensemble(ensemble: ForestEnsemble, path: str) -> None:

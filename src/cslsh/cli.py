@@ -72,6 +72,8 @@ DEFAULTS = {
 }
 
 _BOOL_KEYS = {"queries_from_data", "timings"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _INT_KEYS = {
     "n", "dim", "queries", "instance_seed", "planted_distance", "shell_min_distance",
     "cluster_size", "cluster_distance", "cluster_radius", "shell_flips", "t", "k",
@@ -102,7 +104,9 @@ def _coerce(key: str, value):
     if value.lower() in ("none", ""):
         return None
     if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _BOOL_WORDS:
+            raise ValueError(f"{key} must be one of {'/'.join(_BOOL_WORDS)}, not {value!r}")
+        return _BOOL_WORDS[value.lower()]
     if key in _INT_KEYS:
         return int(value)
     if key in _FLOAT_KEYS:
@@ -177,6 +181,9 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
     structure instead of rebuilding it.
     """
     config = resolve_config(config_file, overrides)
+    reps = config["repetitions"]
+    if reps is None or reps < 1:
+        raise ValueError(f"repetitions must be >= 1, not {reps}")
     instance = instance_from_config(config)
     dataset = instance.dataset
     config["metric"] = dataset.metric.value
@@ -223,7 +230,6 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
     else:
         raise FormatError(f"unknown algorithm: {algorithm}")
 
-    reps = max(1, config["repetitions"])
     for rep in range(reps):
         for k in range(instance.queries.n):
             q = instance.query(k)
@@ -440,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output path")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--instance", help="generator kind or file:PREFIX")
         p.add_argument("--metric", choices=[m.value for m in Metric])
         p.add_argument("-n", type=int, dest="n")
@@ -487,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algorithms", default="forest-adaptive,brute")
     p_bench.add_argument("--instances", default="planted-nn,uniform-hamming")
     p_bench.add_argument("--sizes", default="256,1024")
+    p_bench.add_argument("--threads", type=int, default=1, help="worker processes")
     p_bench.set_defaults(func=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -9,14 +9,15 @@ single-bit hash values:
   direction and hashes a point to the sign of the inner product. Collision
   probability 1 - theta/pi.
 
-A tree or table stores its K members as one parameter array (row k for level
-k + 1): the (K,) coordinates for bit sampling, the (K, dim) directions for
+A member is a parameter row, from sampling to the oracle: ``sample_params``
+draws the K members of one tree or table as one array (row k for level
+k + 1), the (K,) coordinates for bit sampling or the (K, dim) directions for
 sign random projection. ``query_string`` hashes one point against all K rows
 in one call; ``pack_strings`` hashes every dataset point, one member column
 at a time. Both pack the K bits into an integer with level 1 in the most
 significant bit, so a level-i prefix is ``value >> (K - i)``. ``HashSpec``
-is the per-member view of one row, and ``HashSpec.evaluate`` the one-bit
-reference that the oracle and the tests compare against.
+wraps one row as the one-bit reference that the oracle and the tests
+compare against; no structure holds one.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ class LshFamily:
             raise ValueError("dimension must be positive")
         self.dim = dim
 
-    def sample_member(self, seed: RngSeed) -> "HashSpec":
+    def _draw(self, rng: np.random.Generator):
         raise NotImplementedError
 
-    def sample_members(self, seed: RngSeed, count: int) -> list["HashSpec"]:
-        """Members for levels 0..count-1, derived from per-level child seeds."""
-        return [self.sample_member(seed.child("level", k)) for k in range(count)]
+    def sample_params(self, seed: RngSeed, K: int) -> np.ndarray:
+        """The parameters of K members, row k for level k + 1, each drawn
+        from its ("level", k) child seed."""
+        return np.array([self._draw(seed.child("level", k).generator()) for k in range(K)])
 
     def query_string(self, params: np.ndarray, x) -> int:
         """Hash one raw point with every row of ``params``: its K-bit string,
@@ -65,7 +67,7 @@ class LshFamily:
 
 
 class HashSpec:
-    """One sampled member of a family; evaluation is pure and deterministic."""
+    """One member of a family (a parameter row) as a reference hash."""
 
     __slots__ = ("family", "param")
 
@@ -87,9 +89,8 @@ class BitSampling(LshFamily):
     kind = "bit-sampling"
     metric = Metric.HAMMING
 
-    def sample_member(self, seed: RngSeed) -> HashSpec:
-        idx = int(seed.generator().integers(self.dim))
-        return HashSpec(self, idx)
+    def _draw(self, rng: np.random.Generator) -> int:
+        return int(rng.integers(self.dim))
 
     def _evaluate_one(self, idx: int, x) -> int:
         words = np.asarray(x, dtype=np.uint64)
@@ -127,9 +128,8 @@ class SignRandomProjection(LshFamily):
     kind = "sign-random-projection"
     metric = Metric.ANGULAR
 
-    def sample_member(self, seed: RngSeed) -> HashSpec:
-        direction = seed.generator().standard_normal(self.dim)
-        return HashSpec(self, direction)
+    def _draw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.dim)
 
     def _evaluate_one(self, direction: np.ndarray, x) -> int:
         x = np.asarray(x, dtype=np.float64)
@@ -178,17 +178,14 @@ def family_for_metric(metric: Metric, dim: int) -> LshFamily:
     raise ValueError(f"no shipped family for the {metric.value} metric")
 
 
-def stack_params(members: list[HashSpec]) -> np.ndarray:
-    """The members' parameters as one array, row k for level k + 1."""
-    return np.array([m.param for m in members])
-
-
-def pack_strings(members: list[HashSpec], dataset: Dataset) -> np.ndarray:
-    """Packed hash strings for every dataset point, as uint64 (K <= 64)."""
-    k = len(members)
+def pack_strings(family: LshFamily, params: np.ndarray, dataset: Dataset) -> np.ndarray:
+    """Packed hash strings for every dataset point under the K member rows
+    ``params``, as uint64 (K <= 64)."""
+    k = len(params)
     if k > 64:
         raise ValueError("packed strings support at most 64 levels")
+    family.check_compatible(dataset)
     out = np.zeros(dataset.n, dtype=np.uint64)
-    for lvl, m in enumerate(members):
-        out |= m.evaluate_dataset(dataset) << np.uint64(k - 1 - lvl)
+    for lvl, param in enumerate(params):
+        out |= family._evaluate_all(param, dataset) << np.uint64(k - 1 - lvl)
     return out

@@ -11,32 +11,27 @@ the K members of every tree (``(L, K)`` coordinates or ``(L, K, dim)``
 directions); ``order``, the ``(L, n)`` point order; and ``strings``, the
 ``(L, n)`` sorted strings in the narrowest unsigned type that holds K bits.
 The strings and order are derived from the members, at build and at load
-alike. ``PrefixCursor`` hashes q against one row of ``params`` once, to its
-K-bit string, whose two longest common prefixes l1 >= l2 with that row's
-strings fix the whole walk down q's path in closed form. The trie would stop
-at a leaf -- a single point, or depth K -- so a point's pointer lives at the
-shortest prefix of its string that is unique in the tree (one more than its
-second-longest common prefix, capped at K), exact duplicates are
-first-class, and the cost of the walk to any level follows from l1 and l2
-alone.
+alike; an adaptive ensemble is one forest of R * L' rows, and ``rows`` views
+a run of them. ``PrefixCursor`` hashes q against one row of ``params`` once,
+to its K-bit string, whose two longest common prefixes l1 >= l2 with that
+row's strings fix the whole walk down q's path in closed form. The trie
+would stop at a leaf -- a single point, or depth K -- so a point's pointer
+lives at the shortest prefix of its string that is unique in the tree (one
+more than its second-longest common prefix, capped at K), exact duplicates
+are first-class, and the cost of the walk to any level follows from l1 and
+l2 alone.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
 from bisect import bisect_left
 
 import numpy as np
 
 from .core import CostCounters, Dataset, FormatError, Metric, RngSeed
-from .families import (
-    BitSampling,
-    HashSpec,
-    LshFamily,
-    SignRandomProjection,
-    pack_strings,
-    stack_params,
-)
+from .families import BitSampling, LshFamily, SignRandomProjection, pack_strings
 
 
 def prefix_range(strings, prefix: int, width: int, K: int,
@@ -65,11 +60,15 @@ def common_prefixes(strings, s: int, K: int, lo: int, hi: int) -> tuple[int, int
     return l1, l2
 
 
+def string_dtype(K: int) -> np.dtype:
+    """The narrowest unsigned type that holds K-bit strings."""
+    return np.min_scalar_type((1 << K) - 1)
+
+
 def sort_strings(strings: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     """(point order, sorted strings) of K-bit ``strings``, the sorted strings
-    in the narrowest unsigned type that holds K bits; equal strings keep
-    ascending point ids."""
-    strings = strings.astype(np.min_scalar_type((1 << K) - 1), copy=False)
+    in ``string_dtype(K)``; equal strings keep ascending point ids."""
+    strings = strings.astype(string_dtype(K), copy=False)
     order = np.argsort(strings, kind="stable").astype(np.int64, copy=False)
     return order, strings[order]
 
@@ -139,32 +138,39 @@ class Forest:
     the stacked member ``params``, point ``order`` and sorted ``strings``."""
 
     def __init__(self, dataset: Dataset, family: LshFamily, seed: RngSeed, params: np.ndarray):
+        if params.ndim < 2 or len(params) < 1 or not 1 <= params.shape[1] <= 64:
+            raise ValueError(f"a forest needs L >= 1 trees of 1 <= K <= 64 levels, "
+                             f"not parameters of shape {params.shape}")
+        family.check_compatible(dataset)
         self.dataset = dataset
         self.family = family
         self.seed = seed
         self.params = params
         self.L, self.K = params.shape[:2]
         self.n = dataset.n
-        order, strings = zip(*(sort_strings(pack_strings(self.members(j), dataset), self.K)
-                               for j in range(self.L)))
-        self.order, self.strings = np.stack(order), np.stack(strings)
+        # Rows are written in place, so no row's arrays outlive its sort.
+        self.order = np.empty((self.L, self.n), np.int64)
+        self.strings = np.empty((self.L, self.n), string_dtype(self.K))
+        for j, p in enumerate(params):
+            self.order[j], self.strings[j] = sort_strings(pack_strings(family, p, dataset), self.K)
         self.flat_strings = memoryview(self.strings.reshape(-1))
 
-    def _check_row(self, j: int) -> None:
-        if not 0 <= j < self.L:
-            raise ValueError(f"tree row {j} out of range [0, {self.L})")
-
-    def members(self, j: int) -> list[HashSpec]:
-        """The K members of row j (0-based) as per-member reference hashes,
-        level 1 first."""
-        self._check_row(j)
-        return [HashSpec(self.family, p) for p in self.params[j]]
+    def rows(self, start: int, stop: int) -> "Forest":
+        """Trees start..stop-1 as a forest of their own, sharing this one's
+        arrays: nothing is hashed or copied."""
+        view = copy.copy(self)
+        view.params, view.order, view.strings = (
+            a[start:stop] for a in (self.params, self.order, self.strings))
+        view.L = len(view.params)
+        view.flat_strings = memoryview(view.strings.reshape(-1))
+        return view
 
     def stored_depth(self, j: int, point_id: int) -> int:
         """Depth of the leaf holding a point in row j (0-based), its shortest
         unique prefix: one more than its string's second-longest common prefix
         over the tree (its own is the longest), capped at K; 0 in a one-point tree."""
-        self._check_row(j)
+        if not 0 <= j < self.L:
+            raise ValueError(f"tree row {j} out of range [0, {self.L})")
         if not 0 <= point_id < self.n:
             raise ValueError(f"point id {point_id} out of range [0, {self.n})")
         lo = j * self.n
@@ -207,13 +213,7 @@ def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,
                  seed: RngSeed) -> Forest:
     """Build L tries of depth K; tree j draws its members from the ("tree", j)
     child seed so the structure is deterministic in the seed."""
-    if K < 1 or L < 1:
-        raise ValueError("K and L must be >= 1")
-    if K > 64:
-        raise ValueError("packed strings support at most K = 64 levels")
-    family.check_compatible(dataset)
-    params = np.stack([stack_params(family.sample_members(seed.child("tree", j), K))
-                       for j in range(L)])
+    params = np.array([family.sample_params(seed.child("tree", j), K) for j in range(L)])
     return Forest(dataset, family, seed, params)
 
 
@@ -310,20 +310,15 @@ def _read_seed(reader: PayloadReader) -> RngSeed:
     return RngSeed(master, tuple(path))
 
 
-def forest_payload(dataset: Dataset, family: LshFamily, seed: RngSeed,
-                   params: np.ndarray) -> bytes:
-    """The v3 payload of trees with stacked member parameters ``params``."""
-    L, K = params.shape[:2]
-    header = _MAGIC + struct.pack("<I", _VERSION) + struct.pack(
-        _HEADER, dataset.n, dataset.dim, _METRIC_CODE[dataset.metric],
-        _FAMILY_CODE[family.kind], K, L,
-    )
-    param_dtype = "<u4" if isinstance(family, BitSampling) else "<f8"
-    return header + _seed_bytes(seed) + params.astype(param_dtype).tobytes()
-
-
 def forest_to_bytes(forest: Forest) -> bytes:
-    return forest_payload(forest.dataset, forest.family, forest.seed, forest.params)
+    """The v3 payload of a forest: its header, seed and member parameters."""
+    ds = forest.dataset
+    header = _MAGIC + struct.pack("<I", _VERSION) + struct.pack(
+        _HEADER, ds.n, ds.dim, _METRIC_CODE[ds.metric], _FAMILY_CODE[forest.family.kind],
+        forest.K, forest.L,
+    )
+    param_dtype = "<u4" if isinstance(forest.family, BitSampling) else "<f8"
+    return header + _seed_bytes(forest.seed) + forest.params.astype(param_dtype).tobytes()
 
 
 def read_forest_payload(data, dataset: Dataset) -> tuple[LshFamily, RngSeed, np.ndarray]:

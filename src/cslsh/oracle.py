@@ -303,16 +303,17 @@ def simulate_qq(dataset: Dataset, q, family: LshFamily, k_cat: int,
     return counts / trials
 
 
-def naive_prefix_filter(members: list[HashSpec], dataset: Dataset, q, i: int) -> np.ndarray:
-    """Re-derive a bucket from scratch: evaluate the members on every point
-    and on q, and keep the points whose first i values all match."""
+def naive_prefix_filter(family: LshFamily, params: np.ndarray, dataset: Dataset,
+                        q, i: int) -> np.ndarray:
+    """Re-derive a bucket from scratch: evaluate each member row as a one-bit
+    reference on every point and on q, and keep those whose first i match."""
     q = dataset.check_query(q)
     if i == 0:
         return np.arange(dataset.n, dtype=np.int64)
     keep = np.ones(dataset.n, dtype=bool)
-    for lvl in range(i):
-        qv = members[lvl].evaluate(q)
-        keep &= members[lvl].evaluate_dataset(dataset) == qv
+    for param in params[:i]:
+        member = HashSpec(family, param)
+        keep &= member.evaluate_dataset(dataset) == member.evaluate(q)
     return np.flatnonzero(keep).astype(np.int64)
 
 

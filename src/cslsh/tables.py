@@ -20,7 +20,7 @@ import numpy as np
 
 from .confirmation import CsState
 from .core import CostCounters, Dataset, Metric, RngSeed, distance, order_minimum, uniform_draw
-from .families import HashSpec, LshFamily, pack_strings, stack_params
+from .families import LshFamily, pack_strings
 from .forest import prefix_range, sort_strings
 
 
@@ -34,10 +34,10 @@ class HashTable:
 
     __slots__ = ("index", "params", "values", "order")
 
-    def __init__(self, index: int, members: list[HashSpec], dataset: Dataset):
+    def __init__(self, index: int, family: LshFamily, params: np.ndarray, dataset: Dataset):
         self.index = index
-        self.params = stack_params(members)
-        self.order, self.values = sort_strings(pack_strings(members, dataset), len(members))
+        self.params = params
+        self.order, self.values = sort_strings(pack_strings(family, params, dataset), len(params))
 
     def bucket_ids(self, value: int) -> np.ndarray:
         """Ids of the points whose concatenated value equals ``value``."""
@@ -86,10 +86,8 @@ class TableSequence:
             raise SequenceExhausted(f"table {i} exceeds l_max={self.l_max}")
         tab = self._tables.get(i)
         if tab is None:
-            members = self.family.sample_members(
-                self.seed.child("table", i), self.k_cat
-            )
-            tab = HashTable(i, members, self.dataset)
+            params = self.family.sample_params(self.seed.child("table", i), self.k_cat)
+            tab = HashTable(i, self.family, params, self.dataset)
             self._tables[i] = tab
         return tab
 

@@ -377,10 +377,10 @@ def check_forest_structure() -> list[CheckResult]:
 
         for q in queries:
             for j in range(1, L + 1):
-                members = forest.members(j - 1)
                 for i in range(0, K + 1):
                     got = sorted(forest.bucket(j, i, q).tolist())
-                    want = sorted(naive_prefix_filter(members, ds, q, i).tolist())
+                    want = sorted(naive_prefix_filter(forest.family, forest.params[j - 1],
+                                                      ds, q, i).tolist())
                     cnt = forest.collision_count(j, i, q)
                     checked += 1
                     if got != want or cnt != len(want):

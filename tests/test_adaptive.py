@@ -44,10 +44,34 @@ def test_ensemble_shape():
     ens = build(ds)
     assert ens.R == math.ceil(8 * math.log(100))
     assert ens.l_prime == 4
+    assert ens.forest.L == ens.R * 4 and ens.forest.seed == ens.seed
     assert len(ens.forests) == ens.R
     assert all(f.L == 4 and f.K == 8 for f in ens.forests)
     with pytest.raises(ValueError):
         build_ensemble(ds, BitSampling(16), 8, 64, SEED, l_prime=3)
+
+
+def test_forests_are_views_of_the_stacked_rows():
+    rng = SEED.child("views").generator()
+    ds = hamming_set(rng, 60, 16)
+    ens = build(ds, K=8, l_prime=4, tag="views")
+    q = _pack_bits(rng.integers(0, 2, size=(1, 16), dtype=np.uint8))[0]
+    for r, forest in enumerate(ens.forests):
+        assert forest.L == 4 and forest.seed == ens.seed
+        for name in ("params", "order", "strings"):
+            assert np.shares_memory(getattr(forest, name), getattr(ens.forest, name))
+        for tau in range(4):
+            for i in range(9):
+                assert np.array_equal(forest.bucket(tau + 1, i, q),
+                                      ens.forest.bucket(r * 4 + tau + 1, i, q))
+
+
+@pytest.mark.parametrize("K, family", [(0, BitSampling(16)), (65, BitSampling(16)),
+                                       (8, BitSampling(17))])
+def test_build_ensemble_refuses_a_bad_shape_or_family(K, family):
+    ds = hamming_set(SEED.child("bad-shape").generator(), 20, 16)
+    with pytest.raises(ValueError):
+        build_ensemble(ds, family, K, 8, SEED, AdaptiveConfig(c_forests=1.0), l_prime=2)
 
 
 @pytest.mark.parametrize("L", [0, -4])
@@ -244,7 +268,12 @@ def test_ensemble_serialization_round_trip():
     assert loaded.R == ens.R and loaded.l_prime == ens.l_prime and loaded.K == ens.K
     assert ensemble_to_bytes(loaded) == blob
     assert loaded.seed == ens.seed
-    assert [f.seed for f in loaded.forests] == [f.seed for f in ens.forests]
+    for stack in (ens.forest, loaded.forest):
+        for r in range(ens.R):
+            for j in range(ens.l_prime):
+                want = BitSampling(16).sample_params(SEED.child("ser").child("forest", r)
+                                                     .child("tree", j), 6)
+                assert np.array_equal(stack.params[r * ens.l_prime + j], want)
     q = _pack_bits(rng.integers(0, 2, size=(1, 16), dtype=np.uint8))[0]
     a = adaptive_nearest_neighbor(ens, q, SEED.child("ser-q"))
     b = adaptive_nearest_neighbor(loaded, q, SEED.child("ser-q"))

@@ -248,6 +248,37 @@ def test_repetitions_rerun_queries_with_fresh_seeds():
     assert {r["rep"] for r in body} == {0, 1, 2}
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_fewer_than_one_repetition_is_refused(tmp_path, capsys, reps):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"repetitions = {reps}\n")
+    rc = main(["query", "--config", str(cfg), "--instance", "uniform-hamming", "-n", "16",
+               "--dim", "8", "--queries", "2", "--algorithm", "brute",
+               "--out", str(tmp_path / "r.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_config_booleans_are_words_or_refused(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    for word, want in [("TRUE", True), ("On", True), ("1", True), ("yes", True),
+                       ("false", False), ("OFF", False), ("0", False), ("No", False)]:
+        cfg.write_text(f"timings = {word}\n")
+        assert resolve_config(str(cfg), {})["timings"] is want
+    for word in ("ture", "2", "y"):
+        cfg.write_text(f"timings = {word}\n")
+        with pytest.raises(ValueError):
+            resolve_config(str(cfg), {})
+
+
+@pytest.mark.parametrize("command", ["generate", "build", "query"])
+def test_threads_is_a_bench_option_only(tmp_path, capsys, command):
+    rc = main([command, "--threads", "2", "--instance", "uniform-hamming", "-n", "16",
+               "--dim", "8", "--queries", "2", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_report_is_self_contained():
     # re-running from the embedded config record reproduces the report
     overrides = {

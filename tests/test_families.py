@@ -12,7 +12,6 @@ from cslsh.families import (
     SignRandomProjection,
     make_family,
     pack_strings,
-    stack_params,
 )
 
 SEED = RngSeed(99)
@@ -20,11 +19,16 @@ SEED = RngSeed(99)
 
 def test_bit_sampling_member_definition_and_determinism():
     fam = BitSampling(8)
-    m1 = fam.sample_member(SEED.child("m", 0))
-    m2 = fam.sample_member(SEED.child("m", 0))
-    assert 0 <= m1.param < 8
-    assert m1.param == m2.param
-    assert fam.sample_member(SEED.child("m", 1)).family is fam
+    p1 = fam.sample_params(SEED.child("m", 0), 5)
+    p2 = fam.sample_params(SEED.child("m", 0), 5)
+    assert p1.shape == (5,) and p1.dtype == np.int64
+    assert ((0 <= p1) & (p1 < 8)).all()
+    assert np.array_equal(p1, p2)
+    # level k is drawn from its own ("level", k) child, so a prefix of the
+    # levels does not depend on how many are drawn
+    assert np.array_equal(fam.sample_params(SEED.child("m", 0), 2), p1[:2])
+    assert int(fam.sample_params(SEED.child("m", 0), 1)[0]) == int(
+        SEED.child("m", 0).child("level", 0).generator().integers(8))
 
 
 def test_bit_sampling_evaluate_reads_the_bit():
@@ -41,16 +45,18 @@ def test_bit_sampling_draws_are_uniform():
     fam = BitSampling(8)
     counts = np.zeros(8)
     n = 10_000
-    for i in range(n):
-        counts[fam.sample_member(SEED.child("draw", i)).param] += 1
+    for idx in fam.sample_params(SEED.child("draw"), n):
+        counts[idx] += 1
     sigma = math.sqrt(n * (1 / 8) * (7 / 8))
     assert np.abs(counts - n / 8).max() <= 5 * sigma
 
 
 def test_srp_sign_of_projection():
     fam = SignRandomProjection(6)
-    spec = fam.sample_member(SEED.child("srp"))
-    direction = spec.param
+    params = fam.sample_params(SEED.child("srp"), 3)
+    assert params.shape == (3, 6)
+    direction = params[0]
+    spec = HashSpec(fam, direction)
     assert spec.evaluate(direction) == 1  # positive self inner product
     assert spec.evaluate(-direction) == 0
 
@@ -111,7 +117,8 @@ def test_empirical_matches_analytic_over_members():
         ybits[0, flip] ^= 1
         ds = Dataset.from_bits(np.vstack([xbits, ybits]))
         fam = BitSampling(dim)
-        members = fam.sample_members(SEED.child("emp-mem", d), n_members)
+        members = [HashSpec(fam, p) for p in fam.sample_params(SEED.child("emp-mem", d),
+                                                                n_members)]
         agree = sum(
             int(m.evaluate(ds.point(0)) == m.evaluate(ds.point(1))) for m in members
         )
@@ -121,11 +128,11 @@ def test_empirical_matches_analytic_over_members():
         assert abs(rate - f) <= tol
 
 
-def reference_string(members, x) -> int:
+def reference_string(family, params, x) -> int:
     """The per-member reference: each member's bit, level 1 most significant."""
     value = 0
-    for m in members:
-        value = (value << 1) | m.evaluate(x)
+    for p in params:
+        value = (value << 1) | HashSpec(family, p).evaluate(x)
     return value
 
 
@@ -134,13 +141,13 @@ def test_concat_hash_basics():
     # significant bit, and a level-i prefix is the string shifted by K - i.
     ds = Dataset.from_bits(np.array([[1, 0, 1, 1], [1, 0, 1, 1]], dtype=np.uint8))
     fam = BitSampling(4)
-    members = fam.sample_members(SEED.child("cc"), 1)
-    assert fam.query_string(stack_params(members), ds.point(0)) == members[0].evaluate(ds.point(0))
-    members3 = fam.sample_members(SEED.child("cc3"), 3)
-    params3 = stack_params(members3)
+    params = fam.sample_params(SEED.child("cc"), 1)
+    assert fam.query_string(params, ds.point(0)) == HashSpec(fam, params[0]).evaluate(ds.point(0))
+    params3 = fam.sample_params(SEED.child("cc3"), 3)
     a = fam.query_string(params3, ds.point(0))
     assert a == fam.query_string(params3, ds.point(1))  # identical points, identical strings
-    assert [(a >> (3 - i)) & 1 for i in (1, 2, 3)] == [m.evaluate(ds.point(0)) for m in members3]
+    assert [(a >> (3 - i)) & 1 for i in (1, 2, 3)] == [
+        HashSpec(fam, p).evaluate(ds.point(0)) for p in params3]
     assert 0 <= a < 8
 
 
@@ -161,10 +168,10 @@ def test_pack_strings_matches_concat_hash():
     rng = SEED.child("ps").generator()
     ds = Dataset.from_bits(rng.integers(0, 2, size=(10, 12), dtype=np.uint8))
     fam = BitSampling(12)
-    members = fam.sample_members(SEED.child("ps-m"), 5)
-    packed = pack_strings(members, ds)
+    params = fam.sample_params(SEED.child("ps-m"), 5)
+    packed = pack_strings(fam, params, ds)
     for i in range(10):
-        assert int(packed[i]) == reference_string(members, ds.point(i))
+        assert int(packed[i]) == reference_string(fam, params, ds.point(i))
 
 
 @pytest.mark.parametrize("kind,dim", [("bit-sampling", 32), ("bit-sampling", 96),
@@ -179,12 +186,11 @@ def test_query_string_equals_stored_string(kind, dim):
     else:
         ds = Dataset.from_reals(rng.standard_normal((40, dim)), Metric.ANGULAR)
     fam = make_family(kind, dim)
-    members = fam.sample_members(SEED.child("qs-m", dim), 64)
-    params = stack_params(members)
-    packed = pack_strings(members, ds)
+    params = fam.sample_params(SEED.child("qs-m", dim), 64)
+    packed = pack_strings(fam, params, ds)
     for i in range(ds.n):
         got = fam.query_string(params, ds.point(i))
-        assert got == int(packed[i]) == reference_string(members, ds.point(i))
+        assert got == int(packed[i]) == reference_string(fam, params, ds.point(i))
 
 
 def test_family_dataset_compat():

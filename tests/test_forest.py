@@ -72,8 +72,6 @@ def test_row_calls_reject_a_row_outside_the_forest(j):
     forest = build_forest(ds, BitSampling(8), K=8, L=2, seed=SEED.child("row-f"))
     with pytest.raises(ValueError):
         forest.stored_depth(j, 0)
-    with pytest.raises(ValueError):
-        forest.members(j)
 
 
 @pytest.mark.parametrize("K, width", [(1, np.uint8), (8, np.uint8), (9, np.uint16),
@@ -89,7 +87,7 @@ def test_rows_are_stacked_and_strings_use_the_width_k_needs(K, width):
     assert forest.strings.dtype == width
     for j in range(3):
         # row j holds tree j's strings, sorted, each the string of its point
-        want = pack_strings(forest.members(j), ds)
+        want = pack_strings(forest.family, forest.params[j], ds)
         assert np.array_equal(forest.strings[j], want[forest.order[j]])
         assert np.all(forest.strings[j][:-1] <= forest.strings[j][1:])
 
@@ -102,10 +100,10 @@ def test_bucket_equals_naive_filter(n, dim, K, seed):
     forest = build_forest(ds, BitSampling(dim), K=K, L=2, seed=RngSeed(seed).child("f"))
     q = _pack_bits(rng.integers(0, 2, size=(1, dim), dtype=np.uint8))[0]
     for j in (1, 2):
-        members = forest.members(j - 1)
         for i in range(K + 1):
             got = sorted(forest.bucket(j, i, q).tolist())
-            assert got == sorted(naive_prefix_filter(members, ds, q, i).tolist())
+            want = naive_prefix_filter(forest.family, forest.params[j - 1], ds, q, i)
+            assert got == sorted(want.tolist())
             assert forest.collision_count(j, i, q) == len(got)
 
 
@@ -257,10 +255,11 @@ def test_loaded_trees_rehash_to_the_built_strings_and_order(family):
 
 def test_build_validation():
     ds = Dataset.from_bits(np.zeros((2, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        build_forest(ds, BitSampling(4), K=0, L=1, seed=SEED)
-    with pytest.raises(ValueError):
-        build_forest(ds, BitSampling(4), K=65, L=1, seed=SEED)
+    for K, L, family in [(0, 1, BitSampling(4)), (65, 1, BitSampling(4)),
+                         (2, 0, BitSampling(4)), (2, 1, BitSampling(5)),
+                         (2, 1, SignRandomProjection(4))]:
+        with pytest.raises(ValueError):
+            build_forest(ds, family, K=K, L=L, seed=SEED)
     forest = build_forest(ds, BitSampling(4), K=2, L=1, seed=SEED)
     with pytest.raises(ValueError):
         forest.bucket(1, 3, ds.point(0))
@@ -361,7 +360,9 @@ def test_cursor_charges_match_the_reference_walk(data):
 
 def _payload_cases():
     """(name, loader, dataset, malformed payload) for forests and ensembles."""
-    from cslsh.adaptive import build_ensemble, ensemble_from_bytes, ensemble_to_bytes
+    from cslsh.adaptive import (
+        ForestEnsemble, build_ensemble, ensemble_from_bytes, ensemble_to_bytes,
+    )
 
     rng = SEED.child("malformed").generator()
     n, dim, K, L = 30, 16, 8, 3
@@ -397,9 +398,8 @@ def _payload_cases():
         ("terminate_quorum", "IdII"), ("advance_quorum", "IdIId"))}
     R = ensemble.R
     # forests of three trees each, written by the ensemble writer with l_prime = 3
-    ensemble.forests = [build_forest(small, BitSampling(8), 4, 3, f.seed)
-                        for f in ensemble.forests]
-    ensemble.l_prime = 3
+    three = ForestEnsemble(build_forest(small, BitSampling(8), 4, 3 * R, ensemble.seed), 3,
+                           ensemble.config)
     ensemble_cases = {
         "ensemble-v1-short-header": patched(eblob, 8, "<I", 1)[:12],
         "ensemble-v2": patched(eblob, 8, "<I", 2),
@@ -413,7 +413,7 @@ def _payload_cases():
         "ensemble-truncated-header": eblob[:30],
         "ensemble-truncated-forest": eblob[:-5],
         "ensemble-no-forests": patched(eblob, forest1 + 30, "<I", 0),
-        "ensemble-l-prime-three": ensemble_to_bytes(ensemble),
+        "ensemble-l-prime-three": ensemble_to_bytes(three),
         "ensemble-l-prime-zero": patched(eblob, 12, "<I", 0),
         # twice R's lowest set bit is a power of two that does not divide R
         "ensemble-trees-not-a-multiple-of-l-prime": patched(eblob, 12, "<I", 2 * (R & -R)),

@@ -70,13 +70,12 @@ def _loads_correctly_or_format_error(loader, payload: bytes, dataset, data) -> N
     else:
         q = rng.standard_normal(dataset.dim)
     queries = [dataset.point(p) for p in range(dataset.n)] + [q]
-    forests = loaded.forests if isinstance(loaded, ForestEnsemble) else [loaded]
-    for forest in forests:
-        for j in range(forest.L):
-            for x in queries:
-                for i in range(forest.K + 1):
-                    want = naive_prefix_filter(forest.members(j), dataset, x, i).tolist()
-                    assert sorted(forest.bucket(j + 1, i, x).tolist()) == want
+    forest = loaded.forest if isinstance(loaded, ForestEnsemble) else loaded
+    for j in range(forest.L):
+        for x in queries:
+            for i in range(forest.K + 1):
+                want = naive_prefix_filter(forest.family, forest.params[j], dataset, x, i)
+                assert sorted(forest.bucket(j + 1, i, x).tolist()) == want.tolist()
 
 
 def _parses_or_value_error(parse, *args) -> None:
