@@ -9,9 +9,10 @@ budget in at least half of the forests, then runs budget-capped confirmation
 sampling at levels i and i-1 in every forest. It reports the closest point
 seen as soon as the sampling terminates in a quarter of the forests at
 either level. If the tree budget runs out first, a bottom-up phase sweeps
-the forests in lock-step, dropping one level (and restarting the sampling)
-whenever half of the searches have consumed their last tree; level 0 scans
-the whole dataset, so termination is certain.
+the forests in lock-step, one tree per forest per round: a level lasts L'
+rounds, after which every search has consumed its last tree, so the sweep
+drops one level and restarts the sampling. Level 0 scans the whole dataset,
+so every search there terminates within t + 1 rounds.
 
 Nothing here ever evaluates a collision probability; the only structural
 requirement is that the family's collision probability is non-increasing in
@@ -32,7 +33,9 @@ from .core import (
     CostCounters, Dataset, FormatError, Metric, RngSeed, order_minimum, uniform_draw,
 )
 from .families import LshFamily
-from .forest import Forest, PayloadReader, PrefixCursor, forest_to_bytes, read_forest_payload
+from .forest import (
+    Forest, PayloadReader, PrefixCursor, check_shape, forest_to_bytes, read_forest_payload,
+)
 from .forest import build_forest  # unused here; perfbench/spans.py patches this binding
 
 
@@ -44,7 +47,6 @@ class AdaptiveConfig:
     t: int = 3                    # confirmations per sampling instance
     collision_cap: int = 10       # budget multiplier: cap = collision_cap*i*j
     terminate_quorum: float = 0.25
-    advance_quorum: float = 0.5
 
     def __post_init__(self):
         for name in ("t", "collision_cap"):  # u4 fields of the ensemble format
@@ -53,9 +55,8 @@ class AdaptiveConfig:
                 raise ValueError(f"{name} must be an integer in [1, 2**32)")
         if not (math.isfinite(self.c_forests) and self.c_forests > 0):
             raise ValueError("c_forests must be finite and positive")
-        for name in ("terminate_quorum", "advance_quorum"):
-            if not 0 < getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in (0, 1]")
+        if not 0 < self.terminate_quorum <= 1:
+            raise ValueError("terminate_quorum must lie in (0, 1]")
 
 
 def forests_for(n: int, config: AdaptiveConfig) -> int:
@@ -95,8 +96,7 @@ def build_ensemble(dataset: Dataset, family: LshFamily, K: int, L: int,
     """Build R = ``forests_for(n, config)`` forests of ``l_prime`` trees each,
     by default ``trees_per_forest(L, R)``, as one stacked forest; tree j of
     forest r draws its members from the ("forest", r), ("tree", j) child seed."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    check_shape(L, K)
     R = forests_for(dataset.n, config)
     if l_prime is None:
         l_prime = trees_per_forest(L, R)
@@ -113,7 +113,9 @@ class AdaptiveResult:
     counters: CostCounters
     level: int          # level at which the terminating quorum was met
     phase: str          # "for-loop" or "bottom-up"
-    rounds_spread: int  # max lock-step imbalance observed (fairness check)
+    # Runs advance in lock-step, so this is always 0; kept because the golden
+    # reports and the benchmark's query records carry it.
+    rounds_spread: int = 0
 
 
 class _QueryState:
@@ -136,7 +138,6 @@ class _QueryState:
         self.rngs = [None] * ensemble.R  # a forest's fallback stream, made on its first draw
         self.memo = np.full(ds.n, -1, np.int64 if ds.metric is Metric.HAMMING else np.float64)
         self.best_key = None  # (distance, id) over every candidate inspected
-        self.rounds_spread = 0
 
     def cursor(self, f: int, tau: int) -> PrefixCursor:
         row = f * self.ensemble.l_prime + tau
@@ -150,24 +151,20 @@ class _QueryState:
         if self.best_key is None or key < self.best_key:
             self.best_key = key
 
-    def inspect_bucket(self, ids: np.ndarray, limit: int | None = None):
-        """Inspect a bucket (optionally truncated to ``limit`` ids) and return
-        its (distance, id) order-minimum, or None for an empty scan. Every id
-        is charged; only those the memo does not know are computed."""
-        m = len(ids)
-        truncated = False
-        if limit is not None and m > limit:
+    def inspect_bucket(self, ids: np.ndarray, limit: float):
+        """Inspect a nonempty bucket, cut to its first ``limit`` >= 1 ids, and
+        return its (distance, id) order-minimum, the ids inspected and whether
+        it was cut. Every id is charged; only those the memo does not know are
+        computed."""
+        truncated = len(ids) > limit
+        if truncated:
             ids = ids[:limit]
-            m = limit
-            truncated = True
-        if m == 0:
-            return None, 0, truncated
         c = self.counters
-        c.collisions_inspected += m
+        c.collisions_inspected += len(ids)
         c.buckets_opened += 1
         key = order_minimum(self.dataset, self.q, ids, self.memo)
         self._track(key)
-        return key, m, truncated
+        return key, len(ids), truncated
 
     def draw_uniform(self, f: int):
         """Empty-bucket fallback: a uniformly random point, one distance."""
@@ -216,24 +213,13 @@ def choose_level(state: _QueryState, j: int) -> int:
     return ens.K
 
 
-@dataclass
-class LevelPairStatus:
-    """Per-forest outcome of the two budget-capped sampling instances."""
-
-    terminated_hi: bool = False
-    terminated_lo: bool = False
-
-    @property
-    def terminated(self) -> bool:
-        return self.terminated_hi or self.terminated_lo
-
-
 class _CappedRun:
-    """One budget-capped confirmation-sampling instance inside a forest."""
+    """One confirmation-sampling instance inside a forest, capped at ``cap``
+    collisions (``math.inf`` for an uncapped one)."""
 
     __slots__ = ("state", "f", "level", "cap", "cs", "collisions", "done", "terminated")
 
-    def __init__(self, state: _QueryState, f: int, level: int, cap: int, t: int):
+    def __init__(self, state: _QueryState, f: int, level: int, cap: float, t: int):
         self.state = state
         self.f = f
         self.level = level
@@ -273,13 +259,14 @@ class _CappedRun:
             self.terminated = True
 
 
-def run_level_pair(state: _QueryState, i: int, j: int) -> list[LevelPairStatus]:
+def run_level_pair(state: _QueryState, i: int, j: int) -> tuple[int, int]:
     """In each forest, run capped confirmation sampling at levels i and i-1
-    over the buckets of trees 1..j, interleaving the two levels."""
+    over the buckets of trees 1..j, interleaving the two levels. Returns how
+    many forests terminated at level i and how many at level i-1."""
     ens = state.ensemble
     cfg = ens.config
     cap = cfg.collision_cap * i * j
-    statuses = []
+    terminated_hi = terminated_lo = 0
     for f in range(ens.R):
         hi = _CappedRun(state, f, i, cap, cfg.t)
         lo = _CappedRun(state, f, i - 1, cap, cfg.t)
@@ -288,71 +275,32 @@ def run_level_pair(state: _QueryState, i: int, j: int) -> list[LevelPairStatus]:
             lo.feed_tree(tau)
             if hi.done and lo.done:
                 break
-        statuses.append(LevelPairStatus(hi.terminated, lo.terminated))
-    return statuses
-
-
-def quorum_check(statuses: list[LevelPairStatus], fraction: float = 0.25) -> bool:
-    """True when a quarter of the forests terminated at the upper level or a
-    quarter terminated at the lower level (quorums are per level)."""
-    need = math.ceil(len(statuses) * fraction)
-    hi = sum(1 for s in statuses if s.terminated_hi)
-    lo = sum(1 for s in statuses if s.terminated_lo)
-    return hi >= need or lo >= need
+        terminated_hi += hi.terminated
+        terminated_lo += lo.terminated
+    return terminated_hi, terminated_lo
 
 
 def bottom_up_phase(state: _QueryState, start_level: int) -> int:
-    """Lock-step sweep: one bucket per forest per round at the current level;
-    drop a level (restarting every sampling instance) once half the searches
-    have consumed tree L', and stop once a quarter terminate. At level 0 every
-    bucket is the whole dataset, so termination is certain.
+    """Lock-step sweep from ``start_level`` down: at each level one fresh,
+    uncapped run per forest, all fed tree tau % L' in round tau, for L'
+    rounds (t + 1 rounds at level 0, where every bucket is the whole dataset
+    and so every run terminates). Returns the level at which
+    ceil(R * terminate_quorum) runs have terminated.
 
-    Returns the level at which the terminating quorum was met.
+    Each run opens at most one bucket per round, so a sweep from level s
+    opens at most R * (L' * s + t + 1) buckets.
     """
     ens = state.ensemble
     cfg = ens.config
-    R = ens.R
-    lprime = ens.l_prime
-    need_term = math.ceil(R * cfg.terminate_quorum)
-    need_adv = math.ceil(R * cfg.advance_quorum)
-    level = max(0, start_level)
-    while True:
-        runs = [_CappedRun(state, f, level, 2**62, cfg.t) for f in range(R)]
-        taus = [0] * R
-        while True:
-            advanced = False
-            for f in range(R):
-                run = runs[f]
-                if run.done or (level > 0 and taus[f] >= lprime):
-                    continue
-                run.feed_tree(taus[f] % lprime)
-                taus[f] += 1
-                advanced = True
-            live = [
-                taus[f]
-                for f in range(R)
-                if not runs[f].done and (level == 0 or taus[f] < lprime)
-            ]
-            if live:
-                spread = max(live) - min(live)
-                if spread > state.rounds_spread:
-                    state.rounds_spread = spread
-            terminated = sum(1 for r in runs if r.terminated)
-            if terminated >= need_term:
+    need = math.ceil(ens.R * cfg.terminate_quorum)
+    for level in range(max(0, start_level), -1, -1):
+        runs = [_CappedRun(state, f, level, math.inf, cfg.t) for f in range(ens.R)]
+        for tau in range(ens.l_prime if level else cfg.t + 1):
+            for run in runs:
+                run.feed_tree(tau % ens.l_prime)
+            if sum(run.terminated for run in runs) >= need:
                 return level
-            if level > 0:
-                exhausted = sum(
-                    1 for f in range(R) if not runs[f].terminated and taus[f] >= lprime
-                )
-                if exhausted >= need_adv:
-                    break  # drop a level, start everything over
-                if not advanced:
-                    break  # nothing can move: treat as exhausted
-            elif not advanced:
-                # Level 0 cannot stall: every run draws the full dataset and
-                # terminates after t+1 draws.
-                return level
-        level = max(0, level - 1)
+    raise AssertionError("every level-0 run terminates within t + 1 rounds")
 
 
 def adaptive_nearest_neighbor(ensemble: ForestEnsemble, q,
@@ -362,32 +310,28 @@ def adaptive_nearest_neighbor(ensemble: ForestEnsemble, q,
     if seed is None:
         seed = ensemble.seed.child("query")
     state = _QueryState(ensemble, q, seed)
+    need = math.ceil(ensemble.R * ensemble.config.terminate_quorum)
     j = 1
     while True:
         i = choose_level(state, j)
-        statuses = run_level_pair(state, i, j)
-        if quorum_check(statuses, ensemble.config.terminate_quorum):
-            return AdaptiveResult(
-                state.best_point(), state.counters, i, "for-loop", state.rounds_spread
-            )
+        # The quorum is per level: terminations at i and i-1 never pool.
+        if max(run_level_pair(state, i, j)) >= need:
+            return AdaptiveResult(state.best_point(), state.counters, i, "for-loop")
         if j >= ensemble.l_prime:
             level = bottom_up_phase(state, i - 1)
-            return AdaptiveResult(
-                state.best_point(), state.counters, level, "bottom-up",
-                state.rounds_spread,
-            )
+            return AdaptiveResult(state.best_point(), state.counters, level, "bottom-up")
         j *= 2
 
 
 # ---------------------------------------------------------------------------
-# Ensemble serialization, v4: magic, version, l_prime and the five config
+# Ensemble serialization, v5: magic, version, l_prime and the four config
 # fields, then the forest payload of the ensemble's stacked forest of all
 # T = R * l_prime trees, under the ensemble's seed. Forest r is trees
-# r * l_prime ... (r + 1) * l_prime - 1. v1-v3 payloads are rejected.
+# r * l_prime ... (r + 1) * l_prime - 1. v1-v4 payloads are rejected.
 
 _ENS_MAGIC = b"CSLSHENS"
-_ENS_VERSION = 4
-_ENS_HEADER = "<IdIIdd"  # l_prime, then AdaptiveConfig's fields in order
+_ENS_VERSION = 5
+_ENS_HEADER = "<IdIId"  # l_prime, then AdaptiveConfig's fields in order
 
 
 def ensemble_to_bytes(ensemble: ForestEnsemble) -> bytes:

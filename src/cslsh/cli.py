@@ -62,7 +62,6 @@ DEFAULTS = {
     "c_forests": 8.0,
     "collision_cap": 10,
     "quorum_terminate": 0.25,
-    "quorum_advance": 0.5,
     "natural_level": None,
     "natural_trees": None,
     "static_c": 8.0,
@@ -80,7 +79,7 @@ _INT_KEYS = {
     "l", "k_cat", "l_prime", "l_max", "collision_cap", "natural_level",
     "natural_trees", "seed", "repetitions",
 }
-_FLOAT_KEYS = {"delta", "c_forests", "quorum_terminate", "quorum_advance", "static_c"}
+_FLOAT_KEYS = {"delta", "c_forests", "quorum_terminate", "static_c"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -163,7 +162,6 @@ def _adaptive_config(config: dict) -> AdaptiveConfig:
         t=config["t"],
         collision_cap=config["collision_cap"],
         terminate_quorum=config["quorum_terminate"],
-        advance_quorum=config["quorum_advance"],
     )
 
 
@@ -320,8 +318,6 @@ def cmd_build(args) -> int:
     config = resolve_config(args.config, _overrides(args))
     instance = instance_from_config(config)
     dataset = instance.dataset
-    if config["k"] < 1:
-        raise FormatError("k must be >= 1")
     family = family_for_metric(dataset.metric, dataset.dim)
     seed = RngSeed(config["seed"])
     if args.structure == "forest":
@@ -462,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c-forests", type=float, dest="c_forests")
         p.add_argument("--collision-cap", type=int, dest="collision_cap")
         p.add_argument("--quorum-terminate", type=float, dest="quorum_terminate")
-        p.add_argument("--quorum-advance", type=float, dest="quorum_advance")
         p.add_argument("--natural-level", type=int, dest="natural_level")
         p.add_argument("--natural-trees", type=int, dest="natural_trees")
         p.add_argument("--timings", action="store_const", const=True, default=None)

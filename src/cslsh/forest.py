@@ -133,14 +133,22 @@ class PrefixCursor:
         return self.order[lo:hi]
 
 
+def check_shape(L: int, K: int) -> None:
+    """Refuse a forest shape before anything is sampled: it needs L >= 1
+    trees of 1 <= K <= 64 levels, since a string is one unsigned word."""
+    if L < 1 or not 1 <= K <= 64:
+        raise ValueError(f"a forest needs L >= 1 trees of 1 <= K <= 64 levels, not L={L}, K={K}")
+
+
 class Forest:
     """L independent tries of depth K over one dataset: tree j is row j of
     the stacked member ``params``, point ``order`` and sorted ``strings``."""
 
     def __init__(self, dataset: Dataset, family: LshFamily, seed: RngSeed, params: np.ndarray):
-        if params.ndim < 2 or len(params) < 1 or not 1 <= params.shape[1] <= 64:
-            raise ValueError(f"a forest needs L >= 1 trees of 1 <= K <= 64 levels, "
-                             f"not parameters of shape {params.shape}")
+        if params.ndim < 2:
+            raise ValueError(f"forest parameters must be one row per tree and level, "
+                             f"not of shape {params.shape}")
+        check_shape(*params.shape[:2])
         family.check_compatible(dataset)
         self.dataset = dataset
         self.family = family
@@ -213,6 +221,7 @@ def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,
                  seed: RngSeed) -> Forest:
     """Build L tries of depth K; tree j draws its members from the ("tree", j)
     child seed so the structure is deterministic in the seed."""
+    check_shape(L, K)
     params = np.array([family.sample_params(seed.child("tree", j), K) for j in range(L)])
     return Forest(dataset, family, seed, params)
 

@@ -73,8 +73,8 @@ class TableSequence:
         self.seed = seed
         if k_cat is None:
             k_cat = default_k_cat(dataset, family, seed)
-        if k_cat < 1:
-            raise ValueError("k_cat must be >= 1")
+        if not 1 <= k_cat <= 64:
+            raise ValueError(f"k_cat must lie in [1, 64], not {k_cat}")
         self.k_cat = k_cat
         self._tables: dict[int, HashTable] = {}
 

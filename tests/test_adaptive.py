@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from cslsh import adaptive
 from cslsh.adaptive import (
     AdaptiveConfig,
-    LevelPairStatus,
+    ForestEnsemble,
     _QueryState,
     adaptive_nearest_neighbor,
     bottom_up_phase,
@@ -15,12 +16,12 @@ from cslsh.adaptive import (
     ensemble_from_bytes,
     ensemble_to_bytes,
     forests_for,
-    quorum_check,
     run_level_pair,
     trees_per_forest,
 )
 from cslsh.core import Dataset, RngSeed, _pack_bits, order_minimum, uniform_draw
 from cslsh.families import BitSampling, family_for_metric
+from cslsh.forest import build_forest
 from cslsh.oracle import static_level_choice, natural_algorithm
 from cslsh.data import InstanceSpec, generate
 
@@ -74,6 +75,17 @@ def test_build_ensemble_refuses_a_bad_shape_or_family(K, family):
         build_ensemble(ds, family, K, 8, SEED, AdaptiveConfig(c_forests=1.0), l_prime=2)
 
 
+@pytest.mark.parametrize("K", [0, 65])
+@pytest.mark.parametrize("builder", [build_ensemble, build_forest])
+def test_a_bad_k_is_refused_before_any_sampling(monkeypatch, builder, K):
+    ds = hamming_set(SEED.child("bad-k").generator(), 20, 16)
+    calls = []
+    monkeypatch.setattr(BitSampling, "sample_params", lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        builder(ds, BitSampling(16), K, 8, SEED)
+    assert calls == []
+
+
 @pytest.mark.parametrize("L", [0, -4])
 def test_build_ensemble_rejects_fewer_than_one_tree(L):
     ds = hamming_set(SEED.child("no-trees").generator(), 20, 16)
@@ -94,16 +106,21 @@ def test_single_point_dataset():
     assert res.point == 0
 
 
-def test_quorum_check_examples():
-    def statuses(hi_flags, lo_flags):
-        return [LevelPairStatus(h, l) for h, l in zip(hi_flags, lo_flags)]
-
-    s4 = statuses([True, False, False, False], [False] * 4)
-    assert quorum_check(s4, 0.25)  # ceil(4/4) = 1
-    s8 = statuses([True] + [False] * 7, [True] + [False] * 7)
-    assert not quorum_check(s8, 0.25)  # per-level quorum is 2, not pooled
-    s8b = statuses([False] * 8, [True, True] + [False] * 6)
-    assert quorum_check(s8b, 0.25)
+@pytest.mark.parametrize("R, terminated, phase", [
+    (4, (1, 0), "for-loop"),    # ceil(4/4) = 1
+    (8, (1, 1), "bottom-up"),   # the per-level quorum is 2, not pooled
+    (8, (0, 2), "for-loop"),
+    (8, (2, 1), "for-loop"),
+], ids=["R4-hi1", "R8-hi1-lo1-not-pooled", "R8-lo2", "R8-hi2-lo1"])
+def test_quorum_is_per_level_not_pooled(monkeypatch, R, terminated, phase):
+    # one tree per forest, so a missed quorum at j = 1 falls to the sweep
+    ds = hamming_set(SEED.child("quorum").generator(), 16, 8)
+    ens = ForestEnsemble(build_forest(ds, BitSampling(8), 4, R, SEED.child("quorum-f")), 1,
+                         AdaptiveConfig())
+    monkeypatch.setattr(adaptive, "run_level_pair", lambda state, i, j: terminated)
+    monkeypatch.setattr(adaptive, "bottom_up_phase", lambda state, start_level: 0)
+    res = adaptive_nearest_neighbor(ens, ds.point(0), SEED.child("quorum-q"))
+    assert (ens.R, res.phase) == (R, phase)
 
 
 def test_choose_level_trivial_cases():
@@ -135,8 +152,8 @@ def test_run_level_pair_certain_confirmation():
     q = eq.point(0)
     ens = build(eq, K=4, l_prime=4, tag="cert")
     state = _QueryState(ens, q, SEED.child("cert-q"))
-    statuses = run_level_pair(state, 1, 4)
-    assert all(s.terminated_hi for s in statuses)
+    terminated_hi, _ = run_level_pair(state, 1, 4)
+    assert terminated_hi == ens.R
     assert state.best_point() == 0
 
 
@@ -148,8 +165,7 @@ def test_run_level_pair_budget_exhaustion():
     q = eq.point(0)
     ens = build(eq, K=4, l_prime=4, tag="exh")
     state = _QueryState(ens, q, SEED.child("exh-q"))
-    statuses = run_level_pair(state, 1, 1)
-    assert not any(s.terminated for s in statuses)
+    assert run_level_pair(state, 1, 1) == (0, 0)
     # the partial scans still feed the global best
     assert state.best_point() == 0
 
@@ -197,6 +213,32 @@ def test_bottom_up_terminates_at_level_zero():
     level = bottom_up_phase(state, 3)
     assert level >= 0
     assert state.best_point() == 0  # smallest id among the equidistant points
+    # one bucket per run per round: L' rounds at each level above 0, t + 1 at 0
+    assert state.counters.buckets_opened <= ens.R * (ens.l_prime * 3 + config.t + 1)
+
+
+def test_bottom_up_bucket_bound_on_a_sweep_to_level_zero(monkeypatch):
+    # every query of this instance starts its sweep at level 2 and ends at 0
+    inst = generate(InstanceSpec("uniform-hamming", 128, 16, 6, 22))
+    ds = inst.dataset
+    ens = build_ensemble(ds, family_for_metric(ds.metric, ds.dim), 12, 1,
+                         RngSeed(22).child("golden"), l_prime=2)
+    sweeps = []
+
+    def measured(state, start_level):
+        before = state.counters.buckets_opened
+        level = bottom_up_phase(state, start_level)
+        sweeps.append((start_level, level, state.counters.buckets_opened - before))
+        return level
+
+    monkeypatch.setattr(adaptive, "bottom_up_phase", measured)
+    for k in range(inst.queries.n):
+        adaptive_nearest_neighbor(ens, inst.query(k))
+    assert [(s, level) for s, level, _ in sweeps] == [(2, 0)] * inst.queries.n
+    t = ens.config.t
+    for s, _, opened in sweeps:
+        # levels 2 and 1 run their L' rounds in full; level 0 ends at round t + 1
+        assert opened == ens.R * (ens.l_prime * s + t + 1)
 
 
 def test_lock_step_fairness():
@@ -205,7 +247,7 @@ def test_lock_step_fairness():
     q = _pack_bits(rng.integers(0, 2, size=(1, 16), dtype=np.uint8))[0]
     ens = build(ds, K=12, l_prime=4, tag="fair")
     res = adaptive_nearest_neighbor(ens, q, SEED.child("fair-q"))
-    assert res.rounds_spread <= 1
+    assert res.rounds_spread == 0
 
 
 def test_distance_zero_queries():
@@ -339,13 +381,20 @@ def test_query_computes_each_distance_once(monkeypatch, kind, dim, K):
 @pytest.mark.parametrize("field, value", [
     ("t", 0), ("c_forests", -3.0), ("c_forests", 0.0), ("c_forests", math.inf),
     ("c_forests", math.nan), ("collision_cap", 0), ("terminate_quorum", 0.0),
-    ("terminate_quorum", 1.5), ("terminate_quorum", math.nan), ("advance_quorum", 0.0),
-    ("advance_quorum", math.nan), ("t", 2.5), ("t", 2**32), ("collision_cap", 10.0),
-    ("collision_cap", 2**32),
+    ("terminate_quorum", 1.5), ("terminate_quorum", math.nan), ("t", 2.5), ("t", 2**32),
+    ("collision_cap", 10.0), ("collision_cap", 2**32),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError):
         AdaptiveConfig(**{field: value})
+
+
+def test_config_has_no_advance_quorum():
+    # every search consumes its last tree in the same lock-step round, so a
+    # quorum for dropping a level would change nothing
+    assert len(dataclasses.fields(AdaptiveConfig)) == 4
+    with pytest.raises(TypeError):
+        AdaptiveConfig(advance_quorum=0.5)
 
 
 def test_empty_bucket_fallbacks_count_uniform_draws(monkeypatch):

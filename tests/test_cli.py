@@ -36,6 +36,17 @@ def test_config_rejects_unknown_keys(tmp_path):
         resolve_config(str(cfg), {})
 
 
+def test_the_advance_quorum_is_not_an_option(tmp_path, capsys):
+    # a bottom-up level lasts L' lock-step rounds; no quorum decides its end
+    args = ["query", "--instance", "uniform-hamming", "-n", "16", "--dim", "8",
+            "--queries", "1", "--algorithm", "brute"]
+    assert main(args + ["--quorum-advance", "0.5"]) == 1
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("quorum_advance = 0.5\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert "unknown config key: quorum_advance" in capsys.readouterr().err
+
+
 def test_generate_build_query_round_trip(tmp_path):
     prefix = str(tmp_path / "inst")
     assert main([
@@ -98,6 +109,17 @@ def test_build_rejects_zero_levels(tmp_path):
         "--queries", "2", "-k", "0", "-l", "2", "--out", str(tmp_path / "x.bin"),
     ])
     assert rc == 1
+
+
+@pytest.mark.parametrize("structure", ["forest", "ensemble"])
+def test_build_rejects_more_than_64_levels(tmp_path, structure):
+    # a K-bit string is one unsigned word
+    out = tmp_path / "x.bin"
+    rc = main([
+        "build", "--instance", "uniform-hamming", "-n", "16", "--dim", "8",
+        "--queries", "2", "-k", "65", "-l", "2", "--structure", structure, "--out", str(out),
+    ])
+    assert rc == 1 and not out.exists()
 
 
 def test_build_deterministic_bytes(tmp_path):

@@ -391,11 +391,11 @@ def _payload_cases():
     small = random_instance(rng, 12, 8)
     ensemble = build_ensemble(small, BitSampling(8), 4, 1, SEED.child("e"), l_prime=1)
     eblob = ensemble_to_bytes(ensemble)
-    header = struct.calcsize("<IdIIdd")  # l_prime, c_forests, t, collision_cap, quorums
+    header = struct.calcsize("<IdIId")  # l_prime, c_forests, t, collision_cap, quorum
     forest1 = 12 + header  # the one forest payload of every tree
     config_at = {name: 12 + struct.calcsize("<" + fmt) for name, fmt in (
         ("c_forests", "I"), ("t", "Id"), ("collision_cap", "IdI"),
-        ("terminate_quorum", "IdII"), ("advance_quorum", "IdIId"))}
+        ("terminate_quorum", "IdII"))}
     R = ensemble.R
     # forests of three trees each, written by the ensemble writer with l_prime = 3
     three = ForestEnsemble(build_forest(small, BitSampling(8), 4, 3 * R, ensemble.seed), 3,
@@ -404,11 +404,11 @@ def _payload_cases():
         "ensemble-v1-short-header": patched(eblob, 8, "<I", 1)[:12],
         "ensemble-v2": patched(eblob, 8, "<I", 2),
         "ensemble-v3": patched(eblob, 8, "<I", 3),
+        "ensemble-v4": patched(eblob, 8, "<I", 4),
         "ensemble-inner-forest-v2": patched(eblob, forest1 + 8, "<I", 2),
         "ensemble-c-forests-negative": patched(eblob, config_at["c_forests"], "<d", -3.0),
         "ensemble-t-zero": patched(eblob, config_at["t"], "<I", 0),
         "ensemble-terminate-quorum-zero": patched(eblob, config_at["terminate_quorum"], "<d", 0.0),
-        "ensemble-advance-quorum-nan": patched(eblob, config_at["advance_quorum"], "<d", math.nan),
         "ensemble-collision-cap-zero": patched(eblob, config_at["collision_cap"], "<I", 0),
         "ensemble-truncated-header": eblob[:30],
         "ensemble-truncated-forest": eblob[:-5],

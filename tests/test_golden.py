@@ -22,11 +22,12 @@ from cslsh.oracle import natural_algorithm
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 
-def _adaptive_reports(kind: str, n: int, dim: int, K: int, seed: int) -> list:
+def _adaptive_reports(kind: str, n: int, dim: int, K: int, seed: int,
+                      l_prime: int = 8) -> list:
     inst = generate(InstanceSpec(kind, n, dim, 6, seed))
     ds = inst.dataset
     family = family_for_metric(ds.metric, dim)
-    ens = build_ensemble(ds, family, K, 1, RngSeed(seed).child("golden"), l_prime=8)
+    ens = build_ensemble(ds, family, K, 1, RngSeed(seed).child("golden"), l_prime=l_prime)
     out = []
     for k in range(inst.queries.n):
         r = adaptive_nearest_neighbor(ens, inst.query(k))
@@ -80,6 +81,10 @@ def collect_reports() -> dict:
         "planted-adaptive": _adaptive_reports("planted-nn", 256, 32, 16, 11),
         "planted-wide-adaptive": _adaptive_reports("planted-nn", 128, 96, 16, 15),
         "angular-adaptive": _adaptive_reports("gaussian-angular", 128, 64, 32, 12),
+        # bottom-up sweeps that drop levels: 3 -> 2, and 2 -> 0 on both metrics
+        "uniform-drop-adaptive": _adaptive_reports("uniform-hamming", 256, 32, 16, 21, 8),
+        "uniform-level0-adaptive": _adaptive_reports("uniform-hamming", 128, 16, 12, 22, 2),
+        "angular-level0-adaptive": _adaptive_reports("gaussian-angular", 96, 8, 16, 23, 2),
         "uniform-tables": _table_reports("uniform-hamming", 512, 64, 13),
         "angular-tables": _table_reports("gaussian-angular", 256, 16, 16),
         "planted-forest": _forest_reports(14),

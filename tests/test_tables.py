@@ -161,6 +161,13 @@ def test_budgeted_immediate_when_p1_is_one():
     assert res.stats.buckets_opened == res.t + 1  # first round suffices
 
 
+@pytest.mark.parametrize("k_cat", [0, 65])
+def test_a_k_cat_outside_one_to_64_is_refused(k_cat):
+    # a table value is one unsigned word of k_cat bits
+    with pytest.raises(ValueError):
+        make_seq(Dataset.from_bits(np.eye(8, dtype=np.uint8)), k_cat=k_cat)
+
+
 @pytest.mark.parametrize("L", [0, -3, 9])
 def test_budgeted_rejects_a_table_count_outside_one_to_l_max(L):
     ds = Dataset.from_bits(np.eye(8, dtype=np.uint8))
