@@ -217,7 +217,7 @@ class _CappedRun:
     """One confirmation-sampling instance inside a forest, capped at ``cap``
     collisions (``math.inf`` for an uncapped one)."""
 
-    __slots__ = ("state", "f", "level", "cap", "cs", "collisions", "done", "terminated")
+    __slots__ = ("state", "f", "level", "cap", "cs", "collisions", "done")
 
     def __init__(self, state: _QueryState, f: int, level: int, cap: float, t: int):
         self.state = state
@@ -227,7 +227,6 @@ class _CappedRun:
         self.cs = CsState(t)
         self.collisions = 0
         self.done = False
-        self.terminated = False
 
     def feed_tree(self, tau: int) -> None:
         """Consume the bucket of tree ``tau`` (0-based) at this run's level."""
@@ -238,11 +237,7 @@ class _CappedRun:
         if remaining <= 0:
             self.done = True
             return
-        if self.level == 0:
-            # The whole tree, without starting (and charging) a walk.
-            ids = state.ensemble.forest.order[self.f * state.ensemble.l_prime + tau]
-        else:
-            ids = state.cursor(self.f, tau).bucket(self.level)
+        ids = state.cursor(self.f, tau).bucket(self.level)
         if len(ids) == 0:
             key = state.draw_uniform(self.f)
             self.collisions += 1
@@ -256,7 +251,6 @@ class _CappedRun:
                 return
         if self.cs.update(key):
             self.done = True
-            self.terminated = True
 
 
 def run_level_pair(state: _QueryState, i: int, j: int) -> tuple[int, int]:
@@ -275,8 +269,8 @@ def run_level_pair(state: _QueryState, i: int, j: int) -> tuple[int, int]:
             lo.feed_tree(tau)
             if hi.done and lo.done:
                 break
-        terminated_hi += hi.terminated
-        terminated_lo += lo.terminated
+        terminated_hi += hi.cs.terminated
+        terminated_lo += lo.cs.terminated
     return terminated_hi, terminated_lo
 
 
@@ -298,7 +292,7 @@ def bottom_up_phase(state: _QueryState, start_level: int) -> int:
         for tau in range(ens.l_prime if level else cfg.t + 1):
             for run in runs:
                 run.feed_tree(tau % ens.l_prime)
-            if sum(run.terminated for run in runs) >= need:
+            if sum(run.cs.terminated for run in runs) >= need:
                 return level
     raise AssertionError("every level-0 run terminates within t + 1 rounds")
 

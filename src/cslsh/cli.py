@@ -192,9 +192,7 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
                       instance_seed=None)
     algorithm = config["algorithm"]
     seed = RngSeed(config["seed"])
-    family = None
-    if dataset.metric in (Metric.HAMMING, Metric.ANGULAR):
-        family = family_for_metric(dataset.metric, dataset.dim)
+    family = None if algorithm == "brute" else family_for_metric(dataset.metric, dataset.dim)
 
     rows = [_canonical({"config": {k: config[k] for k in sorted(config)}})]
     hits = 0
@@ -257,7 +255,7 @@ def run_query_experiment(overrides: dict, config_file: str | None = None,
         "wall_s": round(time.perf_counter() - t_wall0, 3),
         "seed": config["seed"],
     }
-    if family is not None and algorithm != "brute":
+    if family is not None:
         opts = []
         L_for_opt = config["l"]
         for k in range(min(100, instance.queries.n)):
@@ -368,11 +366,13 @@ def cmd_bench(args) -> int:
         for kind in kinds
         for n in sizes
     ]
-    results = []
-    if args.threads > 1:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, not {args.threads}")
+    workers = min(args.threads, len(cells))  # the pool forks all its workers at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_bench_cell, cell, args.config) for cell in cells]
             results = [f.result() for f in futures]
     else:

@@ -1,4 +1,4 @@
-"""Confirmation sampling: report the order-minimum of a sampled distribution.
+"""Confirmation sampling: report the order-minimum of a sequence of draws.
 
 The procedure draws samples while tracking the smallest element seen so far
 and the number of times it has reappeared (its confirmations). Once the
@@ -7,6 +7,8 @@ Knowing nothing about the sampling probabilities, it fails with probability
 at most ``(1 - p1) * (p2 / (p1 + p2)) ** t`` and consumes at most
 ``(t + 1) / p1`` samples in expectation, where p1 is the probability of the
 minimum and p2 the largest probability among the other elements.
+``confirmation_sampling`` is the one loop, over any sequence of draws (the
+table queries draw from a fresh table each time); ``CsState`` is its step.
 
 This module also provides the analytic companions: the failure bound, the
 expected-sample bound, and the exact output distribution computed by the
@@ -16,13 +18,13 @@ reveal-outcomes-from-the-top recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
 
 class CsState:
-    """The tracked-minimum state machine shared by all samplers.
+    """The step of confirmation sampling: the tracked minimum and its count.
 
     Keys must be totally ordered and equal only for identical elements
     (queries use ``(distance, point id)`` tuples).
@@ -55,7 +57,7 @@ class CsState:
 class CsResult:
     """Outcome of a confirmation-sampling run.
 
-    ``exhausted`` is set when a caller-supplied sample cap was hit first; the
+    ``exhausted`` is set when the sequence ended before t confirmations; the
     reported element is then the tracked minimum so far (or None if no sample
     was drawn).
     """
@@ -66,32 +68,18 @@ class CsResult:
     exhausted: bool = False
 
 
-def confirmation_sampling(
-    draw: Callable[[], object],
-    t: int,
-    *,
-    key: Callable[[object], object] = None,
-    max_samples: Optional[int] = None,
-) -> CsResult:
-    """Run confirmation sampling over an arbitrary sample source.
-
-    ``draw`` produces one element per call; ``key`` maps elements to the
-    comparison key (identity by default). With ``max_samples`` set, the run
-    stops early and returns a result flagged ``exhausted``.
-    """
+def confirmation_sampling(samples: Iterable, t: int) -> CsResult:
+    """Run confirmation sampling over a sequence of draws, keyed as in
+    ``CsState``. The run stops at t confirmations and draws nothing more, so
+    the sequence may be lazy and endless; one that ends first gives a result
+    flagged ``exhausted``."""
     state = CsState(t)
-    elements: dict = {}
-    samples = 0
-    while not state.terminated:
-        if max_samples is not None and samples >= max_samples:
-            k = state.best
-            return CsResult(elements.get(k), samples, state.count, exhausted=True)
-        x = draw()
-        samples += 1
-        k = x if key is None else key(x)
-        elements[k] = x
-        state.update(k)
-    return CsResult(elements[state.best], samples, state.count)
+    drawn = 0
+    for x in samples:
+        drawn += 1
+        if state.update(x):
+            return CsResult(state.best, drawn, state.count)
+    return CsResult(state.best, drawn, state.count, exhausted=True)
 
 
 class DiscreteDistribution:
@@ -111,13 +99,11 @@ class DiscreteDistribution:
         self._cum = np.cumsum(p)
         self._cum[-1] = 1.0
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], int]:
+    def sampler(self, rng: np.random.Generator) -> Iterator[int]:
+        """An endless sequence of independent draws."""
         cum = self._cum
-
-        def draw() -> int:
-            return int(np.searchsorted(cum, rng.random(), side="right"))
-
-        return draw
+        while True:
+            yield int(np.searchsorted(cum, rng.random(), side="right"))
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.searchsorted(self._cum, rng.random(size), side="right")

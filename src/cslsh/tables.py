@@ -2,13 +2,14 @@
 nearest-neighbor search over it by confirmation sampling.
 
 Table i hashes every point with a fresh K_cat-fold concatenation and keeps
-the values sorted, so the bucket of a value is its full-width prefix range. One draw from the sampling
-distribution inspects q's bucket in the next table and returns the bucket's
+the values sorted, so the bucket of a value is its full-width prefix range.
+One draw inspects q's bucket in the next table and returns the bucket's
 order-minimum, or a uniformly random point when the bucket is empty, so the
 nearest neighbor is always at least as likely to be drawn as any other point.
-Running confirmation sampling with t = ceil(log2(1/delta)) over the sequence
-then returns the exact nearest neighbor with probability at least 1 - delta
-using about (t + 1)/p1 tables in expectation.
+``query_nn`` runs ``confirmation_sampling`` with t = ceil(log2(1/delta)) over
+the lazy draws from tables 1, 2, ..., so it returns the exact nearest
+neighbor with probability at least 1 - delta using about (t + 1)/p1 tables
+in expectation; ``query_nn_budgeted`` runs it once per budget on tables 1..L.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confirmation import CsState
+from .confirmation import confirmation_sampling
 from .core import CostCounters, Dataset, Metric, RngSeed, distance, order_minimum, uniform_draw
 from .families import LshFamily, pack_strings
 from .forest import prefix_range, sort_strings
@@ -115,28 +116,22 @@ class TableSequence:
         counters.collisions_inspected += len(ids)
         return order_minimum(self.dataset, q, ids)
 
-    def query_nn(self, seq_q, delta: float, seed: RngSeed | None = None) -> NnResult:
-        """Exact NN search: confirmation sampling with a fresh table per draw.
-
-        If the sequence is exhausted before t confirmations, the best point
-        seen so far is returned with ``confirmed=False``.
-        """
+    def _start(self, seq_q, delta: float, seed: RngSeed | None):
+        """Check delta and the query; return t, q, the fallback stream, counters."""
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         t = max(1, math.ceil(math.log2(1.0 / delta)))
         q = self.dataset.check_query(seq_q)
-        rng = (seed or self.seed.child("query")).generator()
-        counters = CostCounters()
-        state = CsState(t)
-        i = 1
-        while True:
-            if i > self.l_max:
-                pid = state.best[1] if state.best is not None else -1
-                return NnResult(pid, counters, False, t)
-            sample = self.sample_once(q, i, rng, counters)
-            if state.update(sample):
-                return NnResult(state.best[1], counters, True, t)
-            i += 1
+        return t, q, (seed or self.seed.child("query")).generator(), CostCounters()
+
+    def query_nn(self, seq_q, delta: float, seed: RngSeed | None = None) -> NnResult:
+        """Exact NN search: confirmation sampling with a fresh table per draw.
+        If the sequence runs out before t confirmations, the best point seen
+        is returned with ``confirmed=False``."""
+        t, q, rng, counters = self._start(seq_q, delta, seed)
+        res = confirmation_sampling(
+            (self.sample_once(q, i, rng, counters) for i in range(1, self.l_max + 1)), t)
+        return NnResult(res.element[1], counters, not res.exhausted, t)  # l_max >= 1 draws
 
     def query_nn_budgeted(self, seq_q, delta: float, L: int,
                           seed: RngSeed | None = None) -> NnResult:
@@ -144,25 +139,18 @@ class TableSequence:
         sampling over tables 1..L with a per-table candidate budget of 2**r,
         stopping at the first confirmed round. Failure probability grows to
         at most delta * ceil(log2 n)."""
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+        t, q, rng, counters = self._start(seq_q, delta, seed)
         if not 1 <= L <= self.l_max:
             raise ValueError(f"L must lie in [1, l_max={self.l_max}]")
-        t = max(1, math.ceil(math.log2(1.0 / delta)))
-        q = self.dataset.check_query(seq_q)
-        rng = (seed or self.seed.child("query")).generator()
-        counters = CostCounters()
         rounds = max(1, math.ceil(math.log2(max(2, self.dataset.n))))
-        best = None
+        best = None  # the minimum over every round's tracked minimum
         for r in range(1, rounds + 1):
-            budget = 2**r
-            state = CsState(t)
-            for i in range(1, L + 1):
-                sample = self.sample_once(q, i, rng, counters, max_candidates=budget)
-                if best is None or sample < best:
-                    best = sample
-                if state.update(sample):
-                    return NnResult(state.best[1], counters, True, t)
+            res = confirmation_sampling(
+                (self.sample_once(q, i, rng, counters, max_candidates=2**r)
+                 for i in range(1, L + 1)), t)
+            if not res.exhausted:
+                return NnResult(res.element[1], counters, True, t)
+            best = res.element if best is None else min(best, res.element)
         return NnResult(best[1], counters, False, t)
 
 

@@ -226,8 +226,13 @@ def test_bottom_up_bucket_bound_on_a_sweep_to_level_zero(monkeypatch):
     sweeps = []
 
     def measured(state, start_level):
+        # choose_level(state, L') has made every row's cursor, so the sweep
+        # makes none, and its level-0 buckets charge no walk
+        cursors = list(state.cursors)
+        assert all(cur is not None for cur in cursors)
         before = state.counters.buckets_opened
         level = bottom_up_phase(state, start_level)
+        assert all(a is b for a, b in zip(cursors, state.cursors))
         sweeps.append((start_level, level, state.counters.buckets_opened - before))
         return level
 

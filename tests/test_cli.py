@@ -337,3 +337,50 @@ def test_malformed_truth_csv_is_a_format_error(tmp_path, truth, capsys):
     assert main(["query", "--instance", f"file:{prefix}", "--metric", "hamming",
                  "--algorithm", "brute"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_metric_without_a_shipped_family_is_refused(tmp_path, capsys):
+    prefix = str(tmp_path / "ang")
+    assert main(["generate", "--instance", "gaussian-angular", "-n", "64", "--dim", "8",
+                 "--queries", "3", "--out", prefix]) == 0
+    query = ["query", "--instance", f"file:{prefix}", "--metric", "euclidean", "--algorithm"]
+    for algorithm in ("table-cs", "forest-adaptive", "budgeted-cs", "natural"):
+        capsys.readouterr()
+        assert main(query + [algorithm]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no shipped family for the euclidean metric")
+        assert "Traceback" not in err
+    assert main(query + ["brute"]) == 0
+
+
+def test_bench_forks_no_more_workers_than_cells(monkeypatch, capsys):
+    import concurrent.futures
+
+    made = []
+
+    class FakePool:
+        # records its size and runs each cell in this process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    bench = ["bench", "--algorithms", "brute", "--instances", "uniform-hamming",
+             "--sizes", "32,64", "--queries", "3", "--dim", "16", "--seed", "3"]
+    assert main(bench + ["--threads", "64"]) == 0
+    assert made and all(w <= 2 for w in made)
+    for threads in ("0", "-2"):
+        capsys.readouterr()
+        assert main(bench + ["--threads", threads]) == 1
+        assert capsys.readouterr().err.startswith("error: --threads must be >= 1")
+    assert len(made) == 1

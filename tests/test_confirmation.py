@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,13 +17,8 @@ from cslsh.confirmation import (
 from cslsh.core import RngSeed
 
 
-def stream(*items):
-    it = iter(items)
-    return lambda: next(it)
-
-
 def test_single_element_terminates_after_t_plus_one():
-    res = confirmation_sampling(stream(*["a"] * 10), t=3)
+    res = confirmation_sampling(["a"] * 10, t=3)
     assert res.element == "a"
     assert res.samples == 4
     assert res.confirmations == 3
@@ -31,19 +27,20 @@ def test_single_element_terminates_after_t_plus_one():
 
 def test_trace_with_reset():
     # b, a, a, a with t=2: the switch to a resets the counter
-    res = confirmation_sampling(stream("b", "a", "a", "a"), t=2)
+    res = confirmation_sampling(["b", "a", "a", "a"], t=2)
     assert res.element == "a"
     assert res.samples == 4
 
 
 def test_larger_samples_are_noops():
-    res = confirmation_sampling(stream("a", "z", "z", "a", "a"), t=2)
+    res = confirmation_sampling(["a", "z", "z", "a", "a"], t=2)
     assert res.element == "a"
     assert res.samples == 5
 
 
 def test_budget_exhausted_carries_partial_state():
-    res = confirmation_sampling(stream("b", "a", "a", "a"), t=5, max_samples=3)
+    # a caller bounds its own sequence; the run ends with it
+    res = confirmation_sampling(itertools.islice(iter("baaa"), 3), t=5)
     assert res.exhausted
     assert res.element == "a"
     assert res.samples == 3
@@ -51,13 +48,30 @@ def test_budget_exhausted_carries_partial_state():
 
 
 def test_budget_zero_reports_nothing():
-    res = confirmation_sampling(stream("a"), t=1, max_samples=0)
+    res = confirmation_sampling(itertools.islice(iter("a"), 0), t=1)
     assert res.exhausted and res.element is None and res.samples == 0
+    res = confirmation_sampling([], t=1)
+    assert res.exhausted and res.element is None and res.samples == 0
+
+
+def test_termination_leaves_the_rest_of_a_shared_iterator_unread():
+    it = iter(["b", "a", "a", "a", "next", "after"])
+    res = confirmation_sampling(it, t=2)
+    assert (res.element, res.samples, res.exhausted) == ("a", 4, False)
+    assert next(it) == "next"
+
+    def lazy():
+        yield from ("a", "a")
+        raise AssertionError("drew past termination")
+
+    assert confirmation_sampling(lazy(), t=1).samples == 2
 
 
 def test_t_must_be_positive():
     with pytest.raises(ValueError):
         CsState(0)
+    with pytest.raises(ValueError):
+        confirmation_sampling(["a"], t=0)
 
 
 def test_failure_bound_examples():
@@ -166,13 +180,7 @@ def test_varying_distributions_respect_gamma_bound():
     runs = 20_000
     failures = 0
     for _ in range(runs):
-        state = CsState(t)
-        k = 0
-        while True:
-            x = int(sources[k % 2].sample_many(rng, 1)[0])
-            k += 1
-            if state.update(x):
-                break
-        failures += int(state.best != 0)
+        draws = (int(sources[k % 2].sample_many(rng, 1)[0]) for k in itertools.count())
+        failures += int(confirmation_sampling(draws, t).element != 0)
     bound = gamma**t
     assert failures / runs <= bound + 3 * math.sqrt(bound * (1 - bound) / runs)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cslsh.confirmation import confirmation_sampling
 from cslsh.core import CostCounters, Dataset, RngSeed, _pack_bits
 from cslsh.families import BitSampling
 from cslsh.oracle import enumerate_qq_bitsampling
@@ -150,6 +151,37 @@ def test_query_nn_exhaustion_flag():
     assert 0 <= res.point < 64
     with pytest.raises(SequenceExhausted):
         seq.sample_once(q, 3, SEED.child("x").generator(), CostCounters())
+
+
+def test_no_table_is_built_past_the_last_draw():
+    spec = InstanceSpec("planted-nn", n=100, dim=32, n_queries=20, seed=13,
+                        planted_distance=1, shell_min_distance=8)
+    inst = generate(spec)
+    for k in range(inst.queries.n):
+        seq = TableSequence(inst.dataset, BitSampling(32), 10, 64, SEED.child("lazy"))
+        res = seq.query_nn(inst.query(k), 1 / 8, SEED.child("lazy-q", k))
+        assert len(seq._tables) == res.stats.buckets_opened
+        seq = TableSequence(inst.dataset, BitSampling(32), 10, 64, SEED.child("lazy"))
+        seq.query_nn_budgeted(inst.query(k), 1 / 8, 8, SEED.child("lazy-q", k))
+        assert len(seq._tables) <= 8
+
+
+@pytest.mark.parametrize("l_max, delta", [(512, 1 / 8), (2, 1e-6)])
+def test_query_nn_is_the_reduction_over_sample_once(l_max, delta):
+    # same stream, same draws: the query adds nothing to the reduction's loop
+    rng = SEED.child("red").generator()
+    ds = Dataset.from_bits(rng.integers(0, 2, size=(64, 16), dtype=np.uint8))
+    for k in range(8):
+        q = _pack_bits(rng.integers(0, 2, size=(1, 16), dtype=np.uint8))[0]
+        res = make_seq(ds, l_max=l_max, tag="red").query_nn(q, delta, SEED.child("red-q", k))
+        seq = make_seq(ds, l_max=l_max, tag="red")
+        stream = SEED.child("red-q", k).generator()
+        counters = CostCounters()
+        want = confirmation_sampling(
+            (seq.sample_once(q, i, stream, counters) for i in range(1, l_max + 1)), res.t)
+        assert res.point == want.element[1]
+        assert res.confirmed == (not want.exhausted) == (l_max > 2)
+        assert res.stats.as_dict() == counters.as_dict()
 
 
 def test_budgeted_immediate_when_p1_is_one():
