@@ -22,9 +22,7 @@ from .core import (
     Dataset,
     FormatError,
     Metric,
-    QueryOrder,
     RngSeed,
-    derive_rng,
     distance,
 )
 from .families import (
@@ -32,13 +30,11 @@ from .families import (
     HashSpec,
     LshFamily,
     SignRandomProjection,
-    make_family,
     pack_strings,
 )
 from .forest import (
     Forest,
     build_forest,
-    expected_collisions,
     forest_from_bytes,
     forest_to_bytes,
     load_forest,
@@ -76,7 +72,6 @@ __all__ = [
     "Metric",
     "NnResult",
     "OptReport",
-    "QueryOrder",
     "RngSeed",
     "SequenceExhausted",
     "SignRandomProjection",
@@ -87,16 +82,13 @@ __all__ = [
     "build_ensemble",
     "build_forest",
     "confirmation_sampling",
-    "derive_rng",
     "distance",
     "exact_output_distribution",
-    "expected_collisions",
     "expected_samples_bound",
     "failure_bound",
     "forest_from_bytes",
     "forest_to_bytes",
     "load_forest",
-    "make_family",
     "natural_algorithm",
     "opt_report",
     "pack_strings",

@@ -105,9 +105,6 @@ class DiscreteDistribution:
         while True:
             yield int(np.searchsorted(cum, rng.random(), side="right"))
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.searchsorted(self._cum, rng.random(size), side="right")
-
 
 def failure_bound(p1: float, p2: float, t: int) -> float:
     """Upper bound on the probability that confirmation sampling reports an

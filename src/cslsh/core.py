@@ -1,9 +1,11 @@
-"""Datasets, metrics, the query-induced total order, and seeded random streams.
+"""Datasets, metrics, the order-minimum kernel, and seeded random streams.
 
 Points are either fixed-width bit vectors (packed into 64-bit words, used with
 the Hamming metric) or dense real vectors (Euclidean / Angular). All query
 algorithms break distance ties by point id, which makes the order over points
-strict and total and keeps every result reproducible.
+strict and total and keeps every result reproducible: ``order_minimum`` is
+the one (distance, id) minimum they all take. ``distance`` is the scalar
+two-point reference; a random stream is ``RngSeed.child(tag, i).generator()``.
 """
 
 from __future__ import annotations
@@ -130,10 +132,6 @@ class Dataset:
             raise ValueError("bits() is only defined for Hamming datasets")
         return _unpack_bits(self.words, self.dim)
 
-    def coordinate_bits(self, k: int) -> np.ndarray:
-        """Column k of the unpacked bit matrix, as uint64 0/1."""
-        return (self.words[:, k // 64] >> np.uint64(k % 64)) & np.uint64(1)
-
     def check_query(self, q: np.ndarray) -> np.ndarray:
         """Validate a query's representation against this dataset."""
         q = np.asarray(q)
@@ -189,30 +187,6 @@ def distance(metric: Metric, x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("angular metric requires nonzero vectors")
     cos = float(np.dot(x, y) / (nx * ny))
     return float(np.arccos(min(1.0, max(-1.0, cos))))
-
-
-class QueryOrder:
-    """The strict total order over point ids induced by distance to a query,
-    with ties broken by id: x precedes y iff (dist(q,x), x) < (dist(q,y), y)."""
-
-    def __init__(self, dataset: Dataset, q: np.ndarray):
-        self.dataset = dataset
-        self.q = dataset.check_query(q)
-
-    def dist(self, i: int) -> float:
-        if not 0 <= i < self.dataset.n:
-            raise ValueError(f"invalid point id {i}")
-        return distance(self.dataset.metric, self.dataset.point(i), self.q)
-
-    def key(self, i: int):
-        return (self.dist(i), i)
-
-    def precedes(self, x: int, y: int) -> bool:
-        return self.key(x) < self.key(y)
-
-    def minimum(self) -> int:
-        """The unique order-minimum across all points (linear scan)."""
-        return order_minimum(self.dataset, self.q)[1]
 
 
 # Below this many ids the single-word Hamming minimum is a Python loop over
@@ -320,8 +294,3 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.entropy())))
-
-
-def derive_rng(seed: RngSeed, tag: str, index: int = 0) -> np.random.Generator:
-    """Deterministic random stream for the (tag, index) child of a seed."""
-    return seed.child(tag, index).generator()

@@ -112,13 +112,11 @@ def _csv_rows(path: str) -> list[list[str]]:
             raise FormatError(f"malformed CSV: {exc}") from None
 
 
-def load_csv(path: str, metric: Metric, header: bool = False) -> Dataset:
+def load_csv(path: str, metric: Metric) -> Dataset:
     """Numeric CSV, one point per row; row order becomes point-id order."""
     rows: list[list[float]] = []
     width = None
     for rownum, row in enumerate(_csv_rows(path)):
-        if header and rownum == 0:
-            continue
         if not row:
             continue
         try:
@@ -306,7 +304,7 @@ def save_instance(instance: Instance, prefix: str) -> dict:
     return {"data": dpath, "queries": qpath, "truth": gpath}
 
 
-def load_instance(prefix: str, metric: Metric, spec: InstanceSpec | None = None) -> Instance:
+def load_instance(prefix: str, metric: Metric) -> Instance:
     if metric is Metric.HAMMING:
         dataset = load_dataset(prefix + ".data.bvecs", metric)
         queries = load_dataset(prefix + ".queries.bvecs", metric)
@@ -314,8 +312,7 @@ def load_instance(prefix: str, metric: Metric, spec: InstanceSpec | None = None)
         dataset = load_dataset(prefix + ".data.fvecs", metric)
         queries = load_dataset(prefix + ".queries.fvecs", metric)
     truth = _load_truth(prefix + ".truth.csv", queries.n, dataset.n)
-    if spec is None:
-        spec = InstanceSpec("loaded", dataset.n, dataset.dim, queries.n, 0)
+    spec = InstanceSpec("loaded", dataset.n, dataset.dim, queries.n, 0)
     return Instance(spec, dataset, queries, truth)
 
 

@@ -52,7 +52,7 @@ class LshFamily:
         raise NotImplementedError
 
     def collision_probability(self, d) -> float:
-        raise NotImplementedError
+        return float(self.collision_probability_many(np.array([d]))[0])
 
     def collision_probability_many(self, d: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -79,11 +79,6 @@ class HashSpec:
         """Hash a single raw point (packed words or float row) to a bit."""
         return self.family._evaluate_one(self.param, x)
 
-    def evaluate_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Vectorized evaluation over all dataset points, as uint64 0/1."""
-        self.family.check_compatible(dataset)
-        return self.family._evaluate_all(self.param, dataset)
-
 
 class BitSampling(LshFamily):
     kind = "bit-sampling"
@@ -99,7 +94,7 @@ class BitSampling(LshFamily):
         return int((words[idx // 64] >> np.uint64(idx % 64)) & np.uint64(1))
 
     def _evaluate_all(self, idx: int, dataset: Dataset) -> np.ndarray:
-        return dataset.coordinate_bits(idx)
+        return (dataset.words[:, idx // 64] >> np.uint64(idx % 64)) & np.uint64(1)
 
     def query_string(self, coords: np.ndarray, x) -> int:
         words = np.asarray(x, dtype=np.uint64)
@@ -111,11 +106,6 @@ class BitSampling(LshFamily):
         for c in coords.tolist():
             s = (s << 1) | ((v >> c) & 1)
         return s
-
-    def collision_probability(self, d) -> float:
-        if d < 0 or d > self.dim:
-            raise ValueError(f"Hamming distance out of range [0, {self.dim}]")
-        return 1.0 - d / self.dim
 
     def collision_probability_many(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=np.float64)
@@ -149,25 +139,11 @@ class SignRandomProjection(LshFamily):
         # last byte with zeros on the right.
         return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
 
-    def collision_probability(self, theta) -> float:
-        if theta < -1e-12 or theta > np.pi + 1e-12:
-            raise ValueError("angle out of range [0, pi]")
-        theta = min(max(theta, 0.0), np.pi)
-        return 1.0 - theta / np.pi
-
     def collision_probability_many(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if (theta < -1e-12).any() or (theta > np.pi + 1e-12).any():
             raise ValueError("angle out of range [0, pi]")
         return 1.0 - np.clip(theta, 0.0, np.pi) / np.pi
-
-
-def make_family(kind: str, dim: int) -> LshFamily:
-    if kind in ("bit-sampling", "bitsampling"):
-        return BitSampling(dim)
-    if kind in ("sign-random-projection", "simhash", "srp"):
-        return SignRandomProjection(dim)
-    raise ValueError(f"unknown family kind: {kind}")
 
 
 def family_for_metric(metric: Metric, dim: int) -> LshFamily:

@@ -226,17 +226,6 @@ def build_forest(dataset: Dataset, family: LshFamily, K: int, L: int,
     return Forest(dataset, family, seed, params)
 
 
-def expected_collisions(dataset: Dataset, family: LshFamily, q, i: int) -> float:
-    """Analytic expected bucket size at level i: sum over points of the
-    collision probability raised to i."""
-    if i < 0:
-        raise ValueError("level must be nonnegative")
-    family.check_compatible(dataset)
-    d = dataset.distances_to(dataset.check_query(q))
-    p = family.collision_probability_many(d)
-    return float(np.sum(p**i)) if i else float(dataset.n)
-
-
 # ---------------------------------------------------------------------------
 # Serialization: versioned binary layout, little-endian throughout.
 #

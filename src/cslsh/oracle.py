@@ -1,13 +1,15 @@
 """Ground-truth machinery used as independent oracles by the test suites.
 
 Everything here is deliberately naive or analytic: brute-force scans, the
-closed-form distance-profile quantities (C(i), T(i), i', i*, OPT), a direct
-Monte Carlo replay of the confirmation-sampling loop, exhaustive enumeration
-of the table-sampling distribution for bit sampling, and the naive prefix
-filter that re-derives forest buckets from scratch. None of these checks
-shares a code path with the structures it checks. The natural algorithm is a
-baseline, not a check: it scans the forest's own buckets and takes their
-minimum with the same helper as the queries.
+closed-form distance-profile quantities (the expected bucket sizes C(i), and
+T(i), i', i*, OPT), a direct Monte Carlo replay of the confirmation-sampling
+loop, exhaustive enumeration of the table-sampling distribution for bit
+sampling (over the unpacked bit matrix), and the naive prefix filter that
+re-derives forest buckets from scratch, one ``HashSpec.evaluate`` bit per
+member and point. None of these checks shares a code path with the
+structures it checks. The natural algorithm is a baseline, not a check: it
+scans the forest's own buckets and takes their minimum with the same helper
+as the queries.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ class DistanceProfile:
     C: np.ndarray  # C[i] for i in 0..K
 
     def c_at(self, i: int) -> float:
+        if i < 0:
+            raise ValueError("level must be nonnegative")
         if i < len(self.C):
             return float(self.C[i])
         return float(np.sum(self.probs ** i))
@@ -49,11 +53,13 @@ class DistanceProfile:
 
 def profile(dataset: Dataset, family: LshFamily, q, K: int) -> DistanceProfile:
     """Exact collision probabilities per point and compensated C(i) sums."""
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    family.check_compatible(dataset)
     q = dataset.check_query(q)
     d = dataset.distances_to(q)
     p = family.collision_probability_many(d)
-    dmin = d.min()
-    p1 = float(family.collision_probability(dmin.item() if hasattr(dmin, "item") else dmin))
+    p1 = float(p[np.argmin(d)])  # the collision probability at the least distance
     C = np.empty(K + 1, dtype=np.float64)
     C[0] = float(dataset.n)
     power = np.ones_like(p)
@@ -233,10 +239,7 @@ def enumerate_qq_bitsampling(dataset: Dataset, q, k_cat: int):
     rank = np.lexsort((np.arange(n), d))  # rank[0] is the order-minimum
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[rank] = np.arange(n)
-    eq = np.empty((n, dim), dtype=bool)
-    for k in range(dim):
-        qbit = int((q[k // 64] >> np.uint64(k % 64)) & np.uint64(1))
-        eq[:, k] = dataset.coordinate_bits(k) == qbit
+    eq = dataset.bits() == Dataset.from_packed(q[None], dim).bits()  # (n, dim)
     scores = np.zeros(n, dtype=object)
     empties = 0
     combo = [0] * k_cat
@@ -275,10 +278,8 @@ def simulate_qq(dataset: Dataset, q, family: LshFamily, k_cat: int,
     rank_of[rank_order] = np.arange(n)
     counts = np.zeros(n, dtype=np.int64)
     if family.kind == "bit-sampling":
-        eq = np.empty((dataset.dim, n), dtype=bool)
-        for k in range(dataset.dim):
-            qbit = int((q[k // 64] >> np.uint64(k % 64)) & np.uint64(1))
-            eq[k] = dataset.coordinate_bits(k) == qbit
+        qbits = Dataset.from_packed(q[None], dataset.dim).bits()
+        eq = (dataset.bits() == qbits).T  # (dim, n)
     chunk = max(1, min(trials, 2_000_000 // max(1, n * k_cat)))
     done = 0
     while done < trials:
@@ -305,16 +306,18 @@ def simulate_qq(dataset: Dataset, q, family: LshFamily, k_cat: int,
 
 def naive_prefix_filter(family: LshFamily, params: np.ndarray, dataset: Dataset,
                         q, i: int) -> np.ndarray:
-    """Re-derive a bucket from scratch: evaluate each member row as a one-bit
-    reference on every point and on q, and keep those whose first i match."""
+    """Re-derive a bucket from scratch: evaluate each of the first i member
+    rows as a one-bit reference on q and on every point, one point at a
+    time, and keep the points whose i bits all match q's."""
     q = dataset.check_query(q)
     if i == 0:
         return np.arange(dataset.n, dtype=np.int64)
-    keep = np.ones(dataset.n, dtype=bool)
-    for param in params[:i]:
-        member = HashSpec(family, param)
-        keep &= member.evaluate_dataset(dataset) == member.evaluate(q)
-    return np.flatnonzero(keep).astype(np.int64)
+    family.check_compatible(dataset)
+    members = [HashSpec(family, param) for param in params[:i]]
+    want = [member.evaluate(q) for member in members]
+    keep = [pid for pid in range(dataset.n)
+            if [member.evaluate(dataset.point(pid)) for member in members] == want]
+    return np.array(keep, dtype=np.int64)
 
 
 def naive_shortest_unique_prefix(strings: list[int], K: int, idx: int) -> int:

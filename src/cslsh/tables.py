@@ -33,10 +33,9 @@ class HashTable:
     """One table: its K_cat concatenated members as one parameter array, the
     sorted values and the point order beside them."""
 
-    __slots__ = ("index", "params", "values", "order")
+    __slots__ = ("params", "values", "order")
 
-    def __init__(self, index: int, family: LshFamily, params: np.ndarray, dataset: Dataset):
-        self.index = index
+    def __init__(self, family: LshFamily, params: np.ndarray, dataset: Dataset):
         self.params = params
         self.order, self.values = sort_strings(pack_strings(family, params, dataset), len(params))
 
@@ -88,7 +87,7 @@ class TableSequence:
         tab = self._tables.get(i)
         if tab is None:
             params = self.family.sample_params(self.seed.child("table", i), self.k_cat)
-            tab = HashTable(i, self.family, params, self.dataset)
+            tab = HashTable(self.family, params, self.dataset)
             self._tables[i] = tab
         return tab
 
@@ -154,12 +153,11 @@ class TableSequence:
         return NnResult(best[1], counters, False, t)
 
 
-def default_k_cat(dataset: Dataset, family: LshFamily, seed: RngSeed,
-                  sample_pairs: int = 256, cap: int = 64) -> int:
-    """Smallest concatenation width whose expected bucket size, estimated
-    from sampled data-to-data distances, is at most one."""
+def default_k_cat(dataset: Dataset, family: LshFamily, seed: RngSeed) -> int:
+    """Smallest concatenation width, at most 64, whose expected bucket size,
+    estimated from 256 sampled data-to-data distances, is at most one."""
     rng = seed.child("k-cat").generator()
-    m = min(sample_pairs, dataset.n * (dataset.n - 1) // 2 or 1)
+    m = min(256, dataset.n * (dataset.n - 1) // 2 or 1)
     a = rng.integers(dataset.n, size=m)
     b = rng.integers(dataset.n, size=m)
     keep = a != b
@@ -172,8 +170,8 @@ def default_k_cat(dataset: Dataset, family: LshFamily, seed: RngSeed,
         d = np.array([distance(dataset.metric, dataset.reals[x], dataset.reals[y])
                       for x, y in zip(a, b)])
     p = family.collision_probability_many(d)
-    for k in range(1, cap + 1):
+    for k in range(1, 65):
         if dataset.n * float(np.mean(p**k)) <= 1.0:
             return k
-    return cap
+    return 64
 

@@ -31,6 +31,7 @@ from .oracle import (
     static_level_choice,
     brute_force_nn,
     enumerate_qq_bitsampling,
+    naive_prefix_filter,
     natural_algorithm,
     opt_report,
     profile,
@@ -373,8 +374,6 @@ def check_forest_structure() -> list[CheckResult]:
             Dataset.from_bits(rng.integers(0, 2, size=(1, dim), dtype=np.uint8)).point(0)
             for _ in range(2)
         ] + [ds.point(int(rng.integers(n)))]
-        from .oracle import naive_prefix_filter
-
         for q in queries:
             for j in range(1, L + 1):
                 for i in range(0, K + 1):
@@ -412,15 +411,14 @@ def check_forest_structure() -> list[CheckResult]:
             q /= np.linalg.norm(q)
             fam = SignRandomProjection(dim)
         forest = build_forest(ds, fam, 3, trees, _seed("c7", "mc-" + fam_name))
-        from .forest import expected_collisions
-
+        prof = profile(ds, fam, q, 3)
         ok = True
         detail = []
         for i in (1, 2, 3):
             counts = np.array(
                 [forest.collision_count(j, i, q) for j in range(1, trees + 1)], dtype=float
             )
-            want = expected_collisions(ds, fam, q, i)
+            want = prof.c_at(i)
             se = counts.std(ddof=1) / math.sqrt(trees)
             dev = abs(counts.mean() - want)
             ok &= dev <= 3 * se + 2.0 / trees

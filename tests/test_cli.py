@@ -199,6 +199,16 @@ def test_a_query_over_no_tables_or_trees_is_refused(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_a_negative_depth_is_refused(tmp_path, capsys):
+    # table-cs never builds a tree, but its summary's OPT profile reads -k
+    rc = main([
+        "query", "--instance", "uniform-hamming", "-n", "64", "--dim", "16", "--queries", "2",
+        "--algorithm", "table-cs", "-k", "-1", "--out", str(tmp_path / "r.jsonl"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: K must be nonnegative")
+
+
 def test_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     rc = main([
         "query", "--instance", "uniform-hamming", "-n", "16", "--dim", "8",

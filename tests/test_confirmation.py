@@ -178,9 +178,10 @@ def test_varying_distributions_respect_gamma_bound():
     gamma = max(0.6 / (0.4 + 0.6), 0.5)
     t = 2
     runs = 20_000
+    samplers = [source.sampler(rng) for source in sources]  # one rng.random() per draw
     failures = 0
     for _ in range(runs):
-        draws = (int(sources[k % 2].sample_many(rng, 1)[0]) for k in itertools.count())
+        draws = (next(samplers[k % 2]) for k in itertools.count())
         failures += int(confirmation_sampling(draws, t).element != 0)
     bound = gamma**t
     assert failures / runs <= bound + 3 * math.sqrt(bound * (1 - bound) / runs)

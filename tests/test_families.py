@@ -10,7 +10,7 @@ from cslsh.families import (
     BitSampling,
     HashSpec,
     SignRandomProjection,
-    make_family,
+    family_for_metric,
     pack_strings,
 )
 
@@ -80,6 +80,16 @@ def test_collision_probability_closed_forms():
         bs.collision_probability(5)
     with pytest.raises(ValueError):
         srp.collision_probability(4.0)
+
+
+@pytest.mark.parametrize("fam, values", [
+    (BitSampling(4), [0, 1, 2.5, 4, np.int64(3)]),
+    (SignRandomProjection(3), [0.0, -1e-13, 1.0, math.pi, math.pi + 1e-13]),
+])
+def test_collision_probability_is_the_array_form_at_one_point(fam, values):
+    got = [fam.collision_probability(v) for v in values]
+    assert all(type(p) is float for p in got)
+    assert got == fam.collision_probability_many(np.array(values, dtype=float)).tolist()
 
 
 def test_srp_collision_probability_monte_carlo():
@@ -185,7 +195,7 @@ def test_query_string_equals_stored_string(kind, dim):
         ds = Dataset.from_bits(rng.integers(0, 2, size=(40, dim), dtype=np.uint8))
     else:
         ds = Dataset.from_reals(rng.standard_normal((40, dim)), Metric.ANGULAR)
-    fam = make_family(kind, dim)
+    fam = family_for_metric(ds.metric, dim)
     params = fam.sample_params(SEED.child("qs-m", dim), 64)
     packed = pack_strings(fam, params, ds)
     for i in range(ds.n):
@@ -199,6 +209,7 @@ def test_family_dataset_compat():
         SignRandomProjection(4).check_compatible(ds)
     with pytest.raises(ValueError):
         BitSampling(5).check_compatible(ds)
-    assert make_family("bit-sampling", 4).kind == "bit-sampling"
+    assert family_for_metric(Metric.HAMMING, 4).kind == "bit-sampling"
+    assert family_for_metric(Metric.ANGULAR, 4).kind == "sign-random-projection"
     with pytest.raises(ValueError):
-        make_family("minhash", 4)
+        family_for_metric(Metric.EUCLIDEAN, 4)

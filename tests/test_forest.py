@@ -14,12 +14,11 @@ from cslsh.forest import (
     PrefixCursor,
     _seed_bytes,
     build_forest,
-    expected_collisions,
     forest_from_bytes,
     forest_to_bytes,
     prefix_range,
 )
-from cslsh.oracle import naive_prefix_filter, naive_shortest_unique_prefix
+from cslsh.oracle import naive_prefix_filter, naive_shortest_unique_prefix, profile
 
 SEED = RngSeed(404)
 
@@ -169,10 +168,10 @@ def test_expected_collisions_closed_forms():
     ds = random_instance(rng, 20, 8)
     fam = BitSampling(8)
     q = _pack_bits(rng.integers(0, 2, size=(1, 8), dtype=np.uint8))[0]
-    assert expected_collisions(ds, fam, q, 0) == 20
-    dup = Dataset.from_packed(np.tile(q, (7, 1)), 8)
+    assert profile(ds, fam, q, 0).c_at(0) == 20
+    dup = profile(Dataset.from_packed(np.tile(q, (7, 1)), 8), fam, q, 3)
     for i in range(4):
-        assert expected_collisions(dup, fam, q, i) == pytest.approx(7.0)
+        assert dup.c_at(i) == pytest.approx(7.0)
 
 
 def test_expected_collisions_monte_carlo_small():
@@ -182,9 +181,10 @@ def test_expected_collisions_monte_carlo_small():
     q = _pack_bits(rng.integers(0, 2, size=(1, 8), dtype=np.uint8))[0]
     trees = 2000
     forest = build_forest(ds, fam, K=2, L=trees, seed=SEED.child("mc-f"))
+    prof = profile(ds, fam, q, 2)
     for i in (1, 2):
         counts = np.array([forest.collision_count(j, i, q) for j in range(1, trees + 1)], float)
-        want = expected_collisions(ds, fam, q, i)
+        want = prof.c_at(i)
         se = counts.std(ddof=1) / np.sqrt(trees)
         assert abs(counts.mean() - want) <= 3 * se + 1e-2
 

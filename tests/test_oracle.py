@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cslsh import families
 from cslsh.confirmation import DiscreteDistribution, confirmation_sampling, exact_output_distribution
-from cslsh.core import Dataset, RngSeed, _pack_bits
-from cslsh.families import BitSampling
+from cslsh.core import Dataset, Metric, RngSeed, _pack_bits
+from cslsh.families import BitSampling, SignRandomProjection, family_for_metric
 from cslsh.forest import build_forest
 from cslsh.oracle import (
     static_level_choice,
     brute_force_nn,
+    naive_prefix_filter,
     natural_algorithm,
     opt_report,
     profile,
@@ -75,6 +77,25 @@ def test_profile_ratio_inequality(n, seed):
     prof = profile(ds, BitSampling(16), q, K=8)
     for i in range(8):
         assert prof.C[i + 1] <= prof.p1 * prof.C[i] + 1e-9
+
+
+def test_c_at_refuses_a_negative_level():
+    rng = SEED.child("neg").generator()
+    ds = Dataset.from_bits(rng.integers(0, 2, size=(20, 8), dtype=np.uint8))
+    q = _pack_bits(rng.integers(0, 2, size=(1, 8), dtype=np.uint8))[0]
+    prof = profile(ds, BitSampling(8), q, K=4)
+    with pytest.raises(ValueError):
+        prof.c_at(-1)
+    with pytest.raises(ValueError):
+        profile(ds, BitSampling(8), q, K=-1)
+
+
+def test_profile_refuses_a_family_of_another_dimension():
+    rng = SEED.child("dim").generator()
+    ds = Dataset.from_bits(rng.integers(0, 2, size=(20, 8), dtype=np.uint8))
+    q = _pack_bits(rng.integers(0, 2, size=(1, 8), dtype=np.uint8))[0]
+    with pytest.raises(ValueError):
+        profile(ds, BitSampling(12), q, K=4)
 
 
 def test_opt_report_p1_one():
@@ -167,6 +188,34 @@ def test_static_level_choice_definition():
     ]
     qualifying = [i for i in range(1, 9) if totals[i] <= c * 4]
     assert i0 == (min(qualifying) if qualifying else 8)
+
+
+@pytest.mark.parametrize("metric", [Metric.HAMMING, Metric.ANGULAR])
+def test_naive_prefix_filter_shares_no_code_with_the_structure(metric, monkeypatch):
+    # With every column kernel and query hash of the structure refused, the
+    # reference still re-derives each bucket the forest holds.
+    rng = SEED.child("npf-" + metric.value).generator()
+    if metric is Metric.HAMMING:
+        ds = Dataset.from_bits(rng.integers(0, 2, size=(40, 12), dtype=np.uint8))
+        queries = [ds.point(3), _pack_bits(rng.integers(0, 2, size=(1, 12), dtype=np.uint8))[0]]
+    else:
+        ds = Dataset.from_reals(rng.standard_normal((40, 12)), Metric.ANGULAR)
+        queries = [ds.point(3), rng.standard_normal(12)]
+    forest = build_forest(ds, family_for_metric(metric, 12), K=6, L=3, seed=SEED.child("npf-f"))
+    buckets = {(q_idx, j, i): sorted(forest.bucket(j, i, q).tolist())
+               for q_idx, q in enumerate(queries)
+               for j in range(1, forest.L + 1) for i in range(forest.K + 1)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference used the structure's hashing")
+
+    for cls in (BitSampling, SignRandomProjection):
+        monkeypatch.setattr(cls, "_evaluate_all", refuse)
+        monkeypatch.setattr(cls, "query_string", refuse)
+    monkeypatch.setattr(families, "pack_strings", refuse)
+    for (q_idx, j, i), want in buckets.items():
+        got = naive_prefix_filter(forest.family, forest.params[j - 1], ds, queries[q_idx], i)
+        assert got.tolist() == want
 
 
 def test_simulate_cs_deterministic_case():
